@@ -65,27 +65,30 @@ int main() {
   ShowVerdict("honest log:", core::AuditLog::VerifyLogFile(path, enclave_key.public_key(),
                                                            log.counter()));
 
-  // Keep a (validly signed) snapshot for the rollback scenario.
-  CopyFile(path, path + ".old");
+  // The entries live in segment files next to the signed head; this short
+  // log fits in segment 0. Keep a (validly signed) copy of it for the
+  // rollback scenario.
+  const std::string segment = core::SegmentFilePath(path, 0);
+  CopyFile(segment, path + ".old");
   CopyFile(path + ".sig", path + ".old.sig");
 
   append(3, "commit-3");
 
   // Scenario 2: the provider edits an entry in place.
-  CopyFile(path, path + ".bak");
-  std::FILE* f = std::fopen(path.c_str(), "rb+");
-  std::fseek(f, 60, SEEK_SET);
+  CopyFile(segment, path + ".bak");
+  std::FILE* f = std::fopen(segment.c_str(), "rb+");
+  std::fseek(f, core::kSegmentHeaderSize + 60, SEEK_SET);
   int c = std::fgetc(f);
-  std::fseek(f, 60, SEEK_SET);
+  std::fseek(f, core::kSegmentHeaderSize + 60, SEEK_SET);
   std::fputc(c ^ 0x01, f);
   std::fclose(f);
   ShowVerdict("provider-edited log:",
               core::AuditLog::VerifyLogFile(path, enclave_key.public_key(), log.counter()));
-  CopyFile(path + ".bak", path);  // restore
+  CopyFile(path + ".bak", segment);  // restore
 
   // Scenario 3: the provider swaps in the OLD log + OLD signature. Every
   // byte of it is authentic -- but the distributed counter has moved on.
-  CopyFile(path + ".old", path);
+  CopyFile(path + ".old", segment);
   CopyFile(path + ".old.sig", path + ".sig");
   ShowVerdict("rolled-back (but validly signed) log:",
               core::AuditLog::VerifyLogFile(path, enclave_key.public_key(), log.counter()));

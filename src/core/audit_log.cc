@@ -1,18 +1,28 @@
 #include "src/core/audit_log.h"
 
 #include <algorithm>
-#include <cstdio>
-#include <deque>
+#include <cstring>
 #include <map>
 #include <optional>
 #include <utility>
+#include <variant>
 
 #include "src/common/clock.h"
+#include "src/db/parser.h"
 #include "src/obs/obs.h"
 
 namespace seal::core {
 
 namespace {
+
+// One hash-chain step: head = SHA-256(head || serialised entry).
+void ExtendChain(Bytes& head, BytesView record) {
+  crypto::Sha256 h;
+  h.Update(head);
+  h.Update(record);
+  crypto::Sha256Digest d = h.Finish();
+  head.assign(d.begin(), d.end());
+}
 
 // Decrypts one framed record. `cipher` is the per-file cached context, or
 // null for a sign-only log.
@@ -31,148 +41,236 @@ Result<Bytes> MaybeDecrypt(const crypto::Aes128Gcm* cipher, BytesView wire) {
   return plain;
 }
 
-// Stable identity of a row for matching post-trim survivors back to their
-// original entries: every column's serialised form, length-prefixed so
-// adjacent values cannot alias.
-std::string RowIdentity(const db::Row& row) {
-  std::string key;
-  for (const db::Value& v : row) {
-    const std::string s = v.Serialize();
-    key += std::to_string(s.size());
-    key += ':';
-    key += s;
+// Reads the framed record at `off` (a 4-byte length, then the record),
+// decrypting it and strictly parsing the entry. `plain` receives the
+// serialised entry the chain hashes.
+Result<LogEntry> ReadFrame(const crypto::Aes128Gcm* cipher, BytesView data, size_t off,
+                           Bytes& plain) {
+  if (data.size() - off < 4) {
+    return DataLoss("truncated record frame");
   }
-  return key;
+  const uint32_t len = LoadBe32(data.data() + off);
+  if (len > data.size() - off - 4) {
+    return DataLoss("truncated record body");
+  }
+  auto opened = MaybeDecrypt(cipher, data.subspan(off + 4, len));
+  if (!opened.ok()) {
+    return opened.status();
+  }
+  plain = std::move(*opened);
+  size_t entry_off = 0;
+  auto entry = LogEntry::Deserialize(plain, entry_off);
+  if (entry.ok() && entry_off != plain.size()) {
+    return DataLoss("trailing bytes in log record");
+  }
+  return entry;
 }
 
-// Full verification scan shared by VerifyLogFile and ReadVerifiedEntries:
-// walks either the legacy single file or the segment files (checking header
-// chaining), decrypts and strictly parses every record, and recomputes the
-// hash chain over the raw record bytes.
-struct WholeScan {
-  std::vector<LogEntry> entries;
-  Bytes chain;
-  size_t count = 0;
+// Exact equality of type and content (Value::operator== equates 1 and 1.0).
+bool SameRow(const db::Row& a, const db::Row& b) {
+  if (a.size() != b.size()) {
+    return false;
+  }
+  for (size_t i = 0; i < a.size(); ++i) {
+    const db::Value& x = a[i];
+    const db::Value& y = b[i];
+    if (x.is_int() != y.is_int() || x.is_real() != y.is_real() || !(x == y)) {
+      return false;
+    }
+    if (x.is_real()) {  // bitwise, so NaN and -0.0 match only themselves
+      const double p = x.AsReal();
+      const double q = y.AsReal();
+      if (std::memcmp(&p, &q, sizeof(p)) != 0) {
+        return false;
+      }
+    }
+  }
+  return true;
+}
+
+// Reads the signed head of the log at `path` and checks its signature.
+Result<AuditLog::VerifiedHeadInfo> ReadSignedHead(const std::string& path,
+                                                  const crypto::EcdsaPublicKey& key) {
+  auto data = ReadFileBytes(HeadFilePath(path));
+  if (!data.ok()) {
+    return data.status();
+  }
+  constexpr size_t kSigned = crypto::kSha256DigestSize + 16;
+  if (data->size() != kSigned + 64) {
+    return DataLoss("malformed log head file");
+  }
+  auto sig = crypto::EcdsaSignature::Decode(BytesView(*data).subspan(kSigned, 64));
+  if (!sig.has_value()) {
+    return DataLoss("malformed head signature");
+  }
+  if (!key.Verify(BytesView(*data).subspan(0, kSigned), *sig)) {
+    return PermissionDenied("log head signature invalid: tampered or forged log");
+  }
+  AuditLog::VerifiedHeadInfo head;
+  head.chain_head.assign(data->begin(),
+                         data->begin() + static_cast<ptrdiff_t>(crypto::kSha256DigestSize));
+  head.counter_value = LoadBe64(data->data() + crypto::kSha256DigestSize);
+  head.entry_count = LoadBe64(data->data() + crypto::kSha256DigestSize + 8);
+  return head;
+}
+
+// What one pass over the persisted segments found. Verification uses the
+// entries and the chain; recovery also uses the per-entry heads, the
+// torn-tail repair and the state appending resumes from.
+struct LogScan {
+  std::vector<LogEntry> entries;  // snapshot entries + records read from disk
+  size_t snapshot_entries = 0;
+  Bytes chain;                    // head after all entries
+  std::vector<Bytes> tail_heads;  // recovery: head after each record read
+  uint64_t tail_bytes = 0;        // frame bytes read from disk
+  size_t torn_records = 0;        // recovery: torn records at the physical end
+  uint64_t rewrite_epoch = 0;
+  // The last segment: its index, its size once the torn tail is cut (0 for
+  // a torn header) and its header (none for a torn header).
+  bool any_segment = false;
+  uint32_t last_segment = 0;
+  uint64_t last_segment_bytes = 0;
+  std::optional<SegmentHeader> last_header;
 };
 
-Result<WholeScan> ScanWholeLog(const std::string& path, const crypto::Aes128Gcm* cipher) {
-  WholeScan out;
-  out.chain.assign(crypto::kSha256DigestSize, 0);
-  auto scan = [&](BytesView data, size_t off) -> Status {
-    while (off < data.size()) {
-      if (data.size() - off < 4) {
-        return DataLoss("truncated record frame");
-      }
-      const uint32_t len = LoadBe32(data.data() + off);
-      off += 4;
-      if (len > data.size() - off) {
-        return DataLoss("truncated record body");
-      }
-      auto plain = MaybeDecrypt(cipher, data.subspan(off, len));
-      if (!plain.ok()) {
-        return plain.status();
-      }
-      off += len;
-      size_t entry_off = 0;
-      auto entry = LogEntry::Deserialize(*plain, entry_off);
-      if (!entry.ok()) {
-        return entry.status();
-      }
-      if (entry_off != plain->size()) {
-        return DataLoss("trailing bytes in log record");
-      }
-      crypto::Sha256 h;
-      h.Update(out.chain);
-      h.Update(*plain);
-      crypto::Sha256Digest d = h.Finish();
-      out.chain.assign(d.begin(), d.end());
-      out.entries.push_back(std::move(*entry));
-      ++out.count;
+// The one reader of the persisted log, shared by VerifyLogFile,
+// ReadVerifiedEntries and Recover. It starts from `snapshot` (whose
+// content must reproduce its claimed chain head) or from the empty chain,
+// walks the segments checking each header against its neighbours and its
+// records, decrypts and strictly parses every record and re-chains it.
+// Only `recovering` accepts a torn tail, and only at the physical end of
+// the last segment.
+Result<LogScan> ScanPersisted(const std::string& path, const crypto::Aes128Gcm* cipher,
+                              const SnapshotState* snapshot, bool recovering) {
+  LogScan scan;
+  scan.chain.assign(crypto::kSha256DigestSize, 0);
+  if (snapshot != nullptr) {
+    // Seals make snapshots tamper-evident, but a plaintext snapshot
+    // (sign-only log) is not, and the claimed head is what the
+    // committed-head check later trusts.
+    for (const LogEntry& entry : snapshot->entries) {
+      ExtendChain(scan.chain, entry.Serialize());
     }
-    return Status::Ok();
-  };
-
-  const std::vector<uint32_t> segments = ListSegmentFiles(path);
-  if (segments.empty()) {
-    auto data = ReadFileBytes(path);
-    if (!data.ok()) {
-      if (FileExists(HeadFilePath(path))) {
-        // A segmented log that committed a head before flushing any record
-        // has no data files yet; verify the (empty) chain against the head.
-        return out;
-      }
-      return data.status();
+    if (!ConstantTimeEqual(scan.chain, snapshot->chain_head)) {
+      return DataLoss("snapshot content does not match its chain head");
     }
-    SEAL_RETURN_IF_ERROR(scan(*data, 0));
-    return out;
+    scan.entries = snapshot->entries;
+    scan.snapshot_entries = snapshot->entries.size();
+    scan.rewrite_epoch = snapshot->rewrite_epoch;
   }
 
-  bool epoch_set = false;
-  uint64_t epoch = 0;
+  const std::vector<uint32_t> segments = ListSegmentFiles(path);
   for (size_t i = 0; i < segments.size(); ++i) {
     if (segments[i] != i) {
       return DataLoss("missing log segment " + std::to_string(i));
     }
-    const std::string seg_path = SegmentFilePath(path, static_cast<uint32_t>(i));
+  }
+  uint32_t start = 0;
+  if (segments.empty()) {
+    if (snapshot != nullptr && (snapshot->resume_segment > 0 || snapshot->resume_offset > 0)) {
+      return DataLoss("snapshot resumes into missing segments");
+    }
+    // A log that committed a head before flushing any record has no
+    // segments yet; its (empty) chain is checked against the head.
+    if (!recovering && !FileExists(HeadFilePath(path))) {
+      return NotFound("no audit log at " + path);
+    }
+    return scan;
+  }
+  if (snapshot != nullptr) {
+    if (snapshot->resume_segment >= segments.size()) {
+      return DataLoss("snapshot resumes past the last segment");
+    }
+    start = snapshot->resume_segment;
+  }
+
+  for (uint32_t seg = start; seg < segments.size(); ++seg) {
+    const std::string seg_path = SegmentFilePath(path, seg);
+    const bool tail_ok = recovering && seg + 1 == segments.size();
     auto data = ReadFileBytes(seg_path);
     if (!data.ok()) {
       return data.status();
     }
+    scan.any_segment = true;
+    scan.last_segment = seg;
     auto header = SegmentHeader::Decode(*data);
     if (!header.ok()) {
-      return header.status();
+      // A crash between creating the last segment and syncing its header
+      // leaves a file that holds no record; recovery drops it.
+      if (!tail_ok || data->size() > kSegmentHeaderSize) {
+        return header.status();
+      }
+      scan.torn_records += 1;
+      scan.last_segment_bytes = 0;
+      scan.last_header.reset();
+      return scan;
     }
-    if (header->index != i) {
+    if (header->index != seg) {
       return DataLoss("segment index mismatch in " + seg_path);
     }
-    if (!epoch_set) {
-      epoch = header->rewrite_epoch;
-      epoch_set = true;
-    } else if (header->rewrite_epoch != epoch) {
+    if (seg == start && snapshot == nullptr) {
+      scan.rewrite_epoch = header->rewrite_epoch;
+    } else if (header->rewrite_epoch != scan.rewrite_epoch) {
       return DataLoss("segment rewrite epoch mismatch in " + seg_path);
     }
-    if (i + 1 < segments.size() && header->closed == 0) {
+    if (seg + 1 < segments.size() && header->closed == 0) {
       return PermissionDenied("non-final log segment not closed: " + seg_path);
     }
-    if (!ConstantTimeEqual(header->prev_head, out.chain)) {
+    size_t off = kSegmentHeaderSize;
+    if (snapshot != nullptr && seg == start && snapshot->resume_offset > kSegmentHeaderSize) {
+      if (snapshot->resume_offset > data->size()) {
+        return DataLoss("snapshot resume offset beyond segment " + seg_path);
+      }
+      // Pre-snapshot records are skipped, so the chain at this segment's
+      // start is unknown here; the committed-head check still covers it.
+      off = static_cast<size_t>(snapshot->resume_offset);
+    } else if (!ConstantTimeEqual(header->prev_head, scan.chain)) {
       return PermissionDenied("segment chain discontinuity at " + seg_path);
     }
-    const size_t before = out.count;
-    SEAL_RETURN_IF_ERROR(scan(*data, kSegmentHeaderSize));
-    if (header->closed != 0 && out.count > before) {
-      if (out.entries[before].time != header->first_ticket ||
-          out.entries.back().time != header->last_ticket) {
-        return PermissionDenied("segment ticket range mismatch in " + seg_path);
+    const bool whole_segment = off == kSegmentHeaderSize;
+    const size_t first = scan.entries.size();
+
+    while (off < data->size()) {
+      Bytes plain;
+      auto entry = ReadFrame(cipher, *data, off, plain);
+      if (!entry.ok()) {
+        // A frame cut short, or a last frame that does not open: a write
+        // torn by a crash, legal only at the physical end of the last
+        // segment.
+        const size_t left = data->size() - off;
+        if (!tail_ok || (left >= 4 && LoadBe32(data->data() + off) < left - 4)) {
+          return entry.status();
+        }
+        scan.torn_records += 1;
+        break;
       }
+      ExtendChain(scan.chain, plain);
+      if (recovering) {
+        scan.tail_heads.push_back(scan.chain);
+      }
+      scan.entries.push_back(std::move(*entry));
+      const size_t frame = 4 + LoadBe32(data->data() + off);
+      scan.tail_bytes += frame;
+      off += frame;
+    }
+    scan.last_segment_bytes = off;
+    scan.last_header = *header;
+
+    // The ticket range: an open segment has no last ticket yet; the first
+    // ticket is checkable only when the segment was read from its start.
+    if (header->closed == 0 && header->last_ticket != 0) {
+      return PermissionDenied("open log segment claims a last ticket: " + seg_path);
+    }
+    if (scan.entries.size() > first &&
+        ((whole_segment && header->first_ticket != scan.entries[first].time) ||
+         (header->closed != 0 && header->last_ticket != scan.entries.back().time))) {
+      return PermissionDenied("segment ticket range mismatch in " + seg_path);
     }
   }
-  return out;
+  return scan;
 }
 
 }  // namespace
-
-// Staging scan result: everything Recover() needs, computed without
-// touching member state so a failed snapshot plan can fall back cleanly.
-struct AuditLog::ReplayResult {
-  std::vector<LogEntry> entries;  // snapshot entries + replayed tail
-  size_t snapshot_entries = 0;
-  Bytes chain;                    // head after all entries
-  std::vector<Bytes> tail_heads;  // head after each replayed (post-snapshot) entry
-  uint64_t tail_bytes = 0;        // frame bytes replayed from disk
-  // Torn-tail repair: truncate (or, below the header size, remove)
-  // `truncate_path` to `truncate_to` bytes.
-  bool truncate_pending = false;
-  std::string truncate_path;
-  uint64_t truncate_to = 0;
-  size_t torn_records = 0;
-  // Active-segment state to resume appending.
-  bool any_segment = false;
-  uint32_t last_segment = 0;
-  uint64_t last_segment_bytes = 0;  // after torn-tail truncation
-  bool last_header_valid = false;
-  SegmentHeader last_header;
-  uint64_t rewrite_epoch = 0;
-};
 
 AuditLog::AuditLog(AuditLogOptions options, crypto::EcdsaPrivateKey signing_key)
     : options_(std::move(options)),
@@ -189,9 +287,6 @@ AuditLog::AuditLog(AuditLogOptions options, crypto::EcdsaPrivateKey signing_key)
     // Not recovering: any lifecycle files at this path are stale state from
     // a previous run.
     RemoveLogFiles(options_.path);
-    if (options_.segment_bytes == 0) {
-      (void)DurableWriteFile(options_.path, {}, /*append=*/false, /*sync=*/false);
-    }
   }
 }
 
@@ -207,14 +302,6 @@ Status AuditLog::ExecuteSchema(const std::vector<std::string>& statements) {
   return Status::Ok();
 }
 
-Bytes AuditLog::ExtendChain(const Bytes& head, const LogEntry& entry) const {
-  crypto::Sha256 h;
-  h.Update(head);
-  h.Update(entry.Serialize());
-  crypto::Sha256Digest d = h.Finish();
-  return Bytes(d.begin(), d.end());
-}
-
 Status AuditLog::Append(const std::string& table, db::Row values, int64_t wall_nanos) {
   if (values.empty() || !values[0].is_int()) {
     return InvalidArgument("first column of every audit tuple must be the integer time");
@@ -228,12 +315,9 @@ Status AuditLog::Append(const std::string& table, db::Row values, int64_t wall_n
   entry.table = table;
   entry.values = values;
   SEAL_RETURN_IF_ERROR(db_.InsertRow(table, std::move(values)));
-  chain_head_ = ExtendChain(chain_head_, entry);
+  ChainEntry(entry);
   ++entries_logged_;
   max_ticket_ = std::max(max_ticket_, entry.time);
-  if (options_.mode == PersistenceMode::kDisk) {
-    SEAL_RETURN_IF_ERROR(PersistEntry(entry));
-  }
   entries_.push_back(std::move(entry));
   return Status::Ok();
 }
@@ -249,27 +333,21 @@ Bytes AuditLog::EncodeRecord(BytesView plain) {
   return out;
 }
 
-void AuditLog::AppendFramedRecord(Bytes& out, const LogEntry& entry) {
-  Bytes record = EncodeRecord(entry.Serialize());
-  AppendBe32(out, static_cast<uint32_t>(record.size()));
-  seal::Append(out, record);
-}
-
-void AuditLog::StageEntry(const LogEntry& entry) {
-  const size_t before = pending_persist_.size();
-  AppendFramedRecord(pending_persist_, entry);
-  // Append() extends chain_head_ before staging, so it is the head after
-  // this entry — the value the segment roller records per frame.
-  pending_frames_.push_back({entry.time, pending_persist_.size() - before, chain_head_});
-}
-
-Status AuditLog::PersistEntry(const LogEntry& entry) {
+void AuditLog::ChainEntry(const LogEntry& entry) {
+  const Bytes plain = entry.Serialize();
+  ExtendChain(chain_head_, plain);
+  if (options_.mode != PersistenceMode::kDisk) {
+    return;
+  }
   // Stage only: the write (one syscall for a whole batch) happens at
   // FlushPersisted/CommitHead, so a burst of appends costs one flush.
-  const size_t before = pending_persist_.size();
-  StageEntry(entry);
-  persisted_bytes_ += pending_persist_.size() - before;
-  return Status::Ok();
+  const Bytes record = EncodeRecord(plain);
+  AppendBe32(pending_persist_, static_cast<uint32_t>(record.size()));
+  seal::Append(pending_persist_, record);
+  persisted_bytes_ += 4 + record.size();
+  // The segment roller records each frame's ticket and the chain head
+  // after it.
+  pending_frames_.push_back({entry.time, 4 + record.size(), chain_head_});
 }
 
 SealContext AuditLog::MakeSealContext() const {
@@ -315,7 +393,15 @@ Status AuditLog::CloseActiveSegment() {
   return Status::Ok();
 }
 
-Status AuditLog::FlushSegmented(BytesView batch, const std::vector<StagedFrame>& frames) {
+Status AuditLog::FlushPersisted() {
+  if (options_.mode != PersistenceMode::kDisk || pending_persist_.empty()) {
+    return Status::Ok();
+  }
+  const Bytes batch = std::move(pending_persist_);
+  pending_persist_.clear();
+  const std::vector<StagedFrame> frames = std::move(pending_frames_);
+  pending_frames_.clear();
+  bytes_since_snapshot_ += batch.size();
   // Frames are written in contiguous runs: one file append per segment
   // touched, rolling to a new segment when the active one would exceed the
   // byte budget (a segment always takes at least one record, so an
@@ -327,7 +413,7 @@ Status AuditLog::FlushSegmented(BytesView batch, const std::vector<StagedFrame>&
       return Status::Ok();
     }
     SEAL_RETURN_IF_ERROR(DurableWriteFile(SegmentFilePath(options_.path, active_segment_),
-                                          batch.subspan(run_start, end - run_start),
+                                          BytesView(batch).subspan(run_start, end - run_start),
                                           /*append=*/true, options_.fsync));
     active_segment_file_bytes_ += end - run_start;
     run_start = end;
@@ -350,25 +436,6 @@ Status AuditLog::FlushSegmented(BytesView batch, const std::vector<StagedFrame>&
     last_flushed_head_ = frame.head_after;
   }
   return write_run(off);
-}
-
-Status AuditLog::FlushPersisted() {
-  if (options_.mode != PersistenceMode::kDisk || pending_persist_.empty()) {
-    return Status::Ok();
-  }
-  Bytes batch = std::move(pending_persist_);
-  pending_persist_.clear();
-  std::vector<StagedFrame> frames = std::move(pending_frames_);
-  pending_frames_.clear();
-  bytes_since_snapshot_ += batch.size();
-  if (options_.segment_bytes > 0) {
-    return FlushSegmented(batch, frames);
-  }
-  SEAL_RETURN_IF_ERROR(DurableWriteFile(options_.path, batch, /*append=*/true, options_.fsync));
-  if (!frames.empty()) {
-    last_flushed_head_ = frames.back().head_after;
-  }
-  return Status::Ok();
 }
 
 Status AuditLog::CommitHead() {
@@ -413,15 +480,10 @@ Status AuditLog::WriteSnapshot() {
   snapshot.rewrite_epoch = rewrite_epoch_;
   snapshot.chain_head = chain_head_;
   snapshot.persisted_bytes = persisted_bytes_;
-  if (options_.segment_bytes > 0) {
-    snapshot.resume_segment = active_segment_;
-    // Offset 0 = the segment does not exist yet; replay starts at its
-    // header if it appears.
-    snapshot.resume_offset = active_segment_open_ ? active_segment_file_bytes_ : 0;
-  } else {
-    auto size = FileSizeBytes(options_.path);
-    snapshot.resume_offset = size.ok() ? *size : 0;
-  }
+  snapshot.resume_segment = active_segment_;
+  // Offset 0 = the segment does not exist yet; replay starts at its header
+  // if it appears.
+  snapshot.resume_offset = active_segment_open_ ? active_segment_file_bytes_ : 0;
   snapshot.counter_value = last_counter_value_;
   snapshot.max_ticket = max_ticket_;
   snapshot.entries = entries_;
@@ -451,6 +513,17 @@ Status AuditLog::Trim(const std::vector<std::string>& trimming_queries,
   if (trimming_queries.empty()) {
     return Status::Ok();
   }
+  // The rebuild below assumes trims only delete rows, so every statement
+  // is checked before any of them runs.
+  for (const std::string& sql : trimming_queries) {
+    auto stmt = db::ParseStatement(sql);
+    if (!stmt.ok()) {
+      return stmt.status();
+    }
+    if (!std::holds_alternative<db::DeleteStmt>(*stmt)) {
+      return InvalidArgument("trimming statement is not a DELETE: " + sql);
+    }
+  }
   size_t deleted = 0;
   for (const std::string& sql : trimming_queries) {
     auto r = db_.Execute(sql);
@@ -463,59 +536,47 @@ Status AuditLog::Trim(const std::vector<std::string>& trimming_queries,
     *deleted_out = deleted;
   }
   if (deleted == 0) {
-    // Nothing left the log: the chain, the persisted file and the counter
-    // binding are all still valid, so the O(n) rebuild would be pure waste.
+    // Nothing left the log: the chain, the persisted segments and the
+    // counter binding are all still valid, so the O(n) rebuild would be
+    // pure waste.
     return Status::Ok();
   }
-  // Rebuild the entries and the hash chain from the surviving rows (§5.1:
-  // "LibSEAL recomputes the hashes of the remaining log entries"). Each
-  // surviving row is matched back to its original entry by full row
-  // identity, FIFO among duplicates, so every survivor keeps its own wall
-  // clock — keying by (table, time) collapsed same-time rows onto one.
-  std::map<std::pair<std::string, std::string>, std::deque<size_t>> originals;
-  for (size_t i = 0; i < entries_.size(); ++i) {
-    originals[{entries_[i].table, RowIdentity(entries_[i].values)}].push_back(i);
-  }
-  std::vector<char> kept(entries_.size(), 0);
-  struct Survivor {
-    size_t original;
-    LogEntry entry;
+  // A DELETE keeps a table's surviving rows in insertion order, so they
+  // are a subsequence of that table's entries. One walk with a cursor per
+  // table keeps an entry exactly when it equals its table's next surviving
+  // row; identical rows thereby keep their own wall clocks, first in first
+  // out.
+  struct Cursor {
+    const db::RowStore* rows = nullptr;
+    size_t next = 0;
   };
-  std::vector<Survivor> survivors;
+  std::map<std::string, Cursor> cursors;
   for (const std::string& table : db_.TableNames()) {
-    const db::RowStore* rows = db_.TableRows(table);
-    for (size_t r = 0; r < rows->size(); ++r) {
-      const db::Row& row = (*rows)[r];
-      LogEntry entry;
-      entry.time = row.empty() ? 0 : row[0].AsInt();
-      entry.table = table;
-      entry.values = row;
-      size_t original = entries_.size();
-      auto it = originals.find({table, RowIdentity(row)});
-      if (it != originals.end() && !it->second.empty()) {
-        original = it->second.front();
-        it->second.pop_front();
-        kept[original] = 1;
-        entry.wall_nanos = entries_[original].wall_nanos;
-      }
-      survivors.push_back({original, std::move(entry)});
+    cursors[table].rows = db_.TableRows(table);
+  }
+  std::vector<char> keep(entries_.size(), 0);
+  for (size_t i = 0; i < entries_.size(); ++i) {
+    auto it = cursors.find(entries_[i].table);
+    if (it == cursors.end()) {
+      continue;
+    }
+    Cursor& c = it->second;
+    if (c.next < c.rows->size() && SameRow((*c.rows)[c.next], entries_[i].values)) {
+      keep[i] = 1;
+      ++c.next;
     }
   }
-  // Original append order; rows a trimming query inserted (no original)
-  // sort last by time.
-  std::stable_sort(survivors.begin(), survivors.end(),
-                   [](const Survivor& a, const Survivor& b) {
-                     if (a.original != b.original) {
-                       return a.original < b.original;
-                     }
-                     return a.entry.time < b.entry.time;
-                   });
+  for (const auto& [table, c] : cursors) {
+    if (c.next != c.rows->size()) {
+      return Internal("trim left rows of table " + table + " without a log entry");
+    }
+  }
+  std::vector<LogEntry> kept;
   std::vector<LogEntry> removed;
   for (size_t i = 0; i < entries_.size(); ++i) {
-    if (!kept[i]) {
-      removed.push_back(std::move(entries_[i]));
-    }
+    (keep[i] ? kept : removed).push_back(std::move(entries_[i]));
   }
+  entries_ = std::move(kept);
   if (options_.archive_trimmed && options_.mode == PersistenceMode::kDisk &&
       !options_.path.empty() && !removed.empty()) {
     SEAL_RETURN_IF_ERROR(WriteArchiveFile(ArchiveFilePath(options_.path, next_archive_index_),
@@ -528,14 +589,15 @@ Status AuditLog::Trim(const std::vector<std::string>& trimming_queries,
       *archived_out = removed.size();
     }
   }
-  entries_.clear();
-  entries_.reserve(survivors.size());
-  for (Survivor& s : survivors) {
-    entries_.push_back(std::move(s.entry));
-  }
+  // Re-chain the survivors (§5.1: "LibSEAL recomputes the hashes of the
+  // remaining log entries"), staging their records for the rewrite in the
+  // same pass; anything staged before the trim is superseded.
   chain_head_.assign(crypto::kSha256DigestSize, 0);
+  pending_persist_.clear();
+  pending_frames_.clear();
+  persisted_bytes_ = 0;
   for (const LogEntry& entry : entries_) {
-    chain_head_ = ExtendChain(chain_head_, entry);
+    ChainEntry(entry);
   }
   entries_logged_ = entries_.size();
   if (options_.mode == PersistenceMode::kDisk) {
@@ -552,19 +614,6 @@ Status AuditLog::Trim(const std::vector<std::string>& trimming_queries,
 }
 
 Status AuditLog::RewritePersistedLog() {
-  // The rewrite replaces the whole persisted log, so anything staged but
-  // unflushed is superseded.
-  pending_persist_.clear();
-  pending_frames_.clear();
-  if (options_.segment_bytes == 0) {
-    Bytes all;
-    for (const LogEntry& entry : entries_) {
-      AppendFramedRecord(all, entry);
-    }
-    persisted_bytes_ = all.size();
-    last_flushed_head_ = chain_head_;
-    return DurableWriteFile(options_.path, all, /*append=*/false, options_.fsync);
-  }
   for (uint32_t index : ListSegmentFiles(options_.path)) {
     RemoveFileIfExists(SegmentFilePath(options_.path, index));
   }
@@ -575,198 +624,7 @@ Status AuditLog::RewritePersistedLog() {
   active_segment_file_bytes_ = 0;
   segment_count_ = 0;
   last_flushed_head_.assign(crypto::kSha256DigestSize, 0);
-  Bytes head(crypto::kSha256DigestSize, 0);
-  for (const LogEntry& entry : entries_) {
-    const size_t before = pending_persist_.size();
-    AppendFramedRecord(pending_persist_, entry);
-    head = ExtendChain(head, entry);
-    pending_frames_.push_back({entry.time, pending_persist_.size() - before, head});
-  }
-  persisted_bytes_ = pending_persist_.size();
   return FlushPersisted();
-}
-
-Result<AuditLog::ReplayResult> AuditLog::ScanPersisted(const SnapshotState* snapshot) const {
-  ReplayResult rr;
-  rr.chain.assign(crypto::kSha256DigestSize, 0);
-  if (snapshot != nullptr) {
-    // The snapshot's content must reproduce its claimed chain head: seals
-    // make snapshots tamper-evident, but a plaintext snapshot (sign-only
-    // log) is not, and the claimed head is what the committed-head check
-    // later trusts.
-    for (const LogEntry& entry : snapshot->entries) {
-      rr.chain = ExtendChain(rr.chain, entry);
-    }
-    if (!ConstantTimeEqual(rr.chain, snapshot->chain_head)) {
-      return DataLoss("snapshot content does not match its chain head");
-    }
-    rr.entries = snapshot->entries;
-    rr.snapshot_entries = snapshot->entries.size();
-    rr.rewrite_epoch = snapshot->rewrite_epoch;
-  }
-  const crypto::Aes128Gcm* cipher = cipher_.get();
-
-  // Scans framed records from `off`. Unparseable bytes at the physical end
-  // of the LAST file are a torn write (marked for truncation); anywhere
-  // else they are corruption.
-  auto scan_records = [&](const std::string& fpath, BytesView data, size_t off,
-                          bool last_file) -> Status {
-    while (off < data.size()) {
-      auto torn = [&]() {
-        rr.truncate_pending = true;
-        rr.truncate_path = fpath;
-        rr.truncate_to = off;
-        rr.torn_records += 1;
-      };
-      if (data.size() - off < 4) {
-        if (!last_file) {
-          return DataLoss("log truncated mid-frame: " + fpath);
-        }
-        torn();
-        return Status::Ok();
-      }
-      const uint32_t len = LoadBe32(data.data() + off);
-      if (len > data.size() - off - 4) {
-        if (!last_file) {
-          return DataLoss("log truncated mid-record: " + fpath);
-        }
-        torn();
-        return Status::Ok();
-      }
-      auto plain = MaybeDecrypt(cipher, data.subspan(off + 4, len));
-      Status bad = Status::Ok();
-      LogEntry entry;
-      if (!plain.ok()) {
-        bad = plain.status();
-      } else {
-        size_t entry_off = 0;
-        auto parsed = LogEntry::Deserialize(*plain, entry_off);
-        if (!parsed.ok()) {
-          bad = parsed.status();
-        } else if (entry_off != plain->size()) {
-          bad = DataLoss("trailing bytes in log record: " + fpath);
-        } else {
-          entry = std::move(*parsed);
-        }
-      }
-      if (!bad.ok()) {
-        if (last_file && off + 4 + len == data.size()) {
-          torn();
-          return Status::Ok();
-        }
-        return bad;
-      }
-      crypto::Sha256 h;
-      h.Update(rr.chain);
-      h.Update(*plain);
-      crypto::Sha256Digest d = h.Finish();
-      rr.chain.assign(d.begin(), d.end());
-      rr.tail_heads.push_back(rr.chain);
-      rr.entries.push_back(std::move(entry));
-      rr.tail_bytes += 4 + len;
-      off += 4 + len;
-    }
-    return Status::Ok();
-  };
-
-  if (options_.segment_bytes == 0) {
-    if (!FileExists(options_.path)) {
-      if (snapshot != nullptr && snapshot->resume_offset > 0) {
-        return DataLoss("snapshot resumes past a missing log file");
-      }
-      return rr;
-    }
-    auto data = ReadFileBytes(options_.path);
-    if (!data.ok()) {
-      return data.status();
-    }
-    const uint64_t start = snapshot != nullptr ? snapshot->resume_offset : 0;
-    if (start > data->size()) {
-      return DataLoss("snapshot resume offset beyond the log file");
-    }
-    SEAL_RETURN_IF_ERROR(
-        scan_records(options_.path, *data, static_cast<size_t>(start), /*last_file=*/true));
-    return rr;
-  }
-
-  const std::vector<uint32_t> segments = ListSegmentFiles(options_.path);
-  if (segments.empty()) {
-    if (snapshot != nullptr &&
-        (snapshot->resume_segment > 0 || snapshot->resume_offset > 0)) {
-      return DataLoss("snapshot resumes into missing segments");
-    }
-    return rr;
-  }
-  for (size_t i = 0; i < segments.size(); ++i) {
-    if (segments[i] != i) {
-      return DataLoss("missing log segment " + std::to_string(i));
-    }
-  }
-  uint32_t start_segment = 0;
-  if (snapshot != nullptr) {
-    if (snapshot->resume_segment >= segments.size()) {
-      return DataLoss("snapshot resumes past the last segment");
-    }
-    start_segment = snapshot->resume_segment;
-  }
-  bool epoch_set = snapshot != nullptr;
-  for (uint32_t seg = start_segment; seg < segments.size(); ++seg) {
-    const std::string seg_path = SegmentFilePath(options_.path, seg);
-    const bool last_file = seg + 1 == segments.size();
-    auto data = ReadFileBytes(seg_path);
-    if (!data.ok()) {
-      return data.status();
-    }
-    auto header = SegmentHeader::Decode(*data);
-    if (!header.ok()) {
-      if (!last_file) {
-        return header.status();
-      }
-      // Crash between creating the file and syncing its header: the
-      // segment holds no durable records; drop the whole file.
-      rr.truncate_pending = true;
-      rr.truncate_path = seg_path;
-      rr.truncate_to = 0;
-      rr.torn_records += 1;
-      rr.any_segment = true;
-      rr.last_segment = seg;
-      rr.last_segment_bytes = 0;
-      rr.last_header_valid = false;
-      return rr;
-    }
-    if (header->index != seg) {
-      return DataLoss("segment index mismatch in " + seg_path);
-    }
-    if (!epoch_set) {
-      rr.rewrite_epoch = header->rewrite_epoch;
-      epoch_set = true;
-    } else if (header->rewrite_epoch != rr.rewrite_epoch) {
-      return DataLoss("segment rewrite epoch mismatch in " + seg_path);
-    }
-    size_t off = kSegmentHeaderSize;
-    bool check_prev = true;
-    if (snapshot != nullptr && seg == start_segment &&
-        snapshot->resume_offset > kSegmentHeaderSize) {
-      if (snapshot->resume_offset > data->size()) {
-        return DataLoss("snapshot resume offset beyond segment " + seg_path);
-      }
-      off = static_cast<size_t>(snapshot->resume_offset);
-      // Pre-snapshot records are skipped, so the chain at this segment's
-      // start is unknown here; the committed-head check still covers it.
-      check_prev = false;
-    }
-    if (check_prev && !ConstantTimeEqual(header->prev_head, rr.chain)) {
-      return DataLoss("segment chain discontinuity at " + seg_path);
-    }
-    SEAL_RETURN_IF_ERROR(scan_records(seg_path, *data, off, last_file));
-    rr.any_segment = true;
-    rr.last_segment = seg;
-    rr.last_segment_bytes =
-        rr.truncate_pending && rr.truncate_path == seg_path ? rr.truncate_to : data->size();
-    rr.last_header = *header;
-    rr.last_header_valid = true;
-  }
-  return rr;
 }
 
 Status AuditLog::Recover(RecoveryInfo* info) {
@@ -788,26 +646,9 @@ Status AuditLog::Recover(RecoveryInfo* info) {
   // 1. The committed head. It may be missing or torn — the chain then
   //    self-verifies through the segment headers and whatever follows the
   //    last durable commit is kept (it was authenticated by us).
-  Bytes stored_head;
-  uint64_t stored_count = 0;
-  bool head_valid = false;
   const bool head_exists = FileExists(HeadFilePath(options_.path));
-  if (head_exists) {
-    auto data = ReadFileBytes(HeadFilePath(options_.path));
-    if (data.ok() && data->size() == crypto::kSha256DigestSize + 16 + 64) {
-      auto sig = crypto::EcdsaSignature::Decode(
-          BytesView(*data).subspan(crypto::kSha256DigestSize + 16, 64));
-      Bytes signed_blob(data->begin(),
-                        data->begin() + static_cast<ptrdiff_t>(crypto::kSha256DigestSize + 16));
-      if (sig.has_value() && signing_key_.public_key().Verify(signed_blob, *sig)) {
-        stored_head.assign(data->begin(),
-                           data->begin() + static_cast<ptrdiff_t>(crypto::kSha256DigestSize));
-        stored_count = LoadBe64(data->data() + crypto::kSha256DigestSize + 8);
-        head_valid = true;
-      }
-    }
-  }
-  out.head_missing = !head_valid;
+  auto head = ReadSignedHead(options_.path, signing_key_.public_key());
+  out.head_missing = !head.ok();
 
   // 2. The newest snapshot, if present and its seal opens under our
   //    identity. Any failure just falls back to a full replay.
@@ -819,39 +660,38 @@ Status AuditLog::Recover(RecoveryInfo* info) {
     }
   }
 
-  out.had_state = head_exists || snapshot.has_value() || FileExists(options_.path) ||
-                  !ListSegmentFiles(options_.path).empty();
+  out.had_state =
+      head_exists || snapshot.has_value() || !ListSegmentFiles(options_.path).empty();
 
   // 3. Replay, snapshot plan first. The committed head must appear in the
   //    recovered chain exactly at its entry count; a stale or forged
   //    snapshot fails this and triggers the full replay.
-  auto attempt = [&](const SnapshotState* snap) -> Result<ReplayResult> {
-    auto rr = ScanPersisted(snap);
-    if (!rr.ok()) {
+  auto attempt = [&](const SnapshotState* snap) -> Result<LogScan> {
+    auto rr = ScanPersisted(options_.path, cipher_.get(), snap, /*recovering=*/true);
+    if (!rr.ok() || !head.ok()) {
       return rr;
     }
-    if (head_valid) {
-      if (stored_count < rr->snapshot_entries) {
-        return DataLoss("snapshot is newer than the committed head");
+    const uint64_t stored_count = head->entry_count;
+    if (stored_count < rr->snapshot_entries) {
+      return DataLoss("snapshot is newer than the committed head");
+    }
+    if (stored_count > rr->entries.size()) {
+      return DataLoss("committed head covers more entries than the log holds");
+    }
+    Bytes at(crypto::kSha256DigestSize, 0);
+    if (stored_count == rr->snapshot_entries) {
+      if (snap != nullptr) {
+        at = snap->chain_head;
       }
-      if (stored_count > rr->entries.size()) {
-        return DataLoss("committed head covers more entries than the log holds");
-      }
-      Bytes at(crypto::kSha256DigestSize, 0);
-      if (stored_count == rr->snapshot_entries) {
-        if (snap != nullptr) {
-          at = snap->chain_head;
-        }
-      } else {
-        at = rr->tail_heads[stored_count - rr->snapshot_entries - 1];
-      }
-      if (!ConstantTimeEqual(at, stored_head)) {
-        return PermissionDenied("recovered chain does not match the committed head");
-      }
+    } else {
+      at = rr->tail_heads[stored_count - rr->snapshot_entries - 1];
+    }
+    if (!ConstantTimeEqual(at, head->chain_head)) {
+      return PermissionDenied("recovered chain does not match the committed head");
     }
     return rr;
   };
-  Result<ReplayResult> rr = attempt(snapshot ? &*snapshot : nullptr);
+  Result<LogScan> rr = attempt(snapshot ? &*snapshot : nullptr);
   if (!rr.ok() && snapshot.has_value()) {
     snapshot.reset();
     rr = attempt(nullptr);
@@ -860,13 +700,15 @@ Status AuditLog::Recover(RecoveryInfo* info) {
     return rr.status();
   }
 
-  // 4. Drop the torn tail from disk so the next append lands cleanly.
-  if (rr->truncate_pending) {
-    if (options_.segment_bytes > 0 && rr->truncate_to < kSegmentHeaderSize) {
-      RemoveFileIfExists(rr->truncate_path);
-    } else {
-      SEAL_RETURN_IF_ERROR(TruncateFile(rr->truncate_path, rr->truncate_to));
-    }
+  // 4. Cut the torn tail so the next append lands cleanly. A last segment
+  //    left without records is removed and reopened by the next flush: its
+  //    header would otherwise claim a first ticket no record carries.
+  const std::string last_path = SegmentFilePath(options_.path, rr->last_segment);
+  const bool drop_last = rr->any_segment && rr->last_segment_bytes <= kSegmentHeaderSize;
+  if (drop_last) {
+    RemoveFileIfExists(last_path);
+  } else if (rr->torn_records > 0) {
+    SEAL_RETURN_IF_ERROR(TruncateFile(last_path, rr->last_segment_bytes));
   }
 
   // 5. Rebuild the database and in-memory state.
@@ -884,33 +726,23 @@ Status AuditLog::Recover(RecoveryInfo* info) {
   }
   const std::vector<uint32_t> archives = ListArchiveFiles(options_.path);
   next_archive_index_ = archives.empty() ? 0 : archives.back() + 1;
-  if (options_.segment_bytes > 0) {
-    rewrite_epoch_ = rr->rewrite_epoch;
-    active_prev_head_ = chain_head_;
-    if (rr->any_segment) {
-      if (!rr->last_header_valid) {
-        // Torn header: the file was removed; recreate the same index on
-        // the next flush.
-        active_segment_ = rr->last_segment;
-        segment_count_ = rr->last_segment;
-        active_segment_open_ = false;
-      } else if (rr->last_header.closed != 0) {
-        // Crash after a roll closed this segment but before the next one
-        // was opened.
-        active_segment_ = rr->last_segment + 1;
-        segment_count_ = rr->last_segment + 1;
-        active_segment_open_ = false;
-      } else {
-        active_segment_ = rr->last_segment;
-        segment_count_ = rr->last_segment + 1;
-        active_segment_open_ = true;
-        active_segment_file_bytes_ = rr->last_segment_bytes;
-        active_prev_head_ = rr->last_header.prev_head;
-        active_first_ticket_ = rr->last_header.first_ticket;
-        active_last_ticket_ =
-            entries_.empty() ? rr->last_header.first_ticket : entries_.back().time;
-      }
-    }
+  rewrite_epoch_ = rr->rewrite_epoch;
+  if (drop_last) {
+    active_segment_ = rr->last_segment;
+    segment_count_ = rr->last_segment;
+  } else if (rr->any_segment && rr->last_header->closed != 0) {
+    // Crash after a roll closed this segment but before the next one was
+    // opened.
+    active_segment_ = rr->last_segment + 1;
+    segment_count_ = rr->last_segment + 1;
+  } else if (rr->any_segment) {
+    active_segment_ = rr->last_segment;
+    segment_count_ = rr->last_segment + 1;
+    active_segment_open_ = true;
+    active_segment_file_bytes_ = rr->last_segment_bytes;
+    active_prev_head_ = rr->last_header->prev_head;
+    active_first_ticket_ = rr->last_header->first_ticket;
+    active_last_ticket_ = entries_.back().time;
   }
   bytes_since_snapshot_ = 0;
   recovered_ = true;
@@ -941,7 +773,7 @@ Result<std::vector<LogEntry>> AuditLog::ReadVerifiedEntries(const std::string& p
   if (!encryption_key.empty()) {
     cipher.emplace(encryption_key);
   }
-  auto scan = ScanWholeLog(path, cipher ? &*cipher : nullptr);
+  auto scan = ScanPersisted(path, cipher ? &*cipher : nullptr, nullptr, /*recovering=*/false);
   if (!scan.ok()) {
     return scan.status();
   }
@@ -957,51 +789,32 @@ Result<size_t> AuditLog::VerifyLogFile(const std::string& path,
   if (!encryption_key.empty()) {
     cipher.emplace(encryption_key);
   }
-  auto scan = ScanWholeLog(path, cipher ? &*cipher : nullptr);
+  auto scan = ScanPersisted(path, cipher ? &*cipher : nullptr, nullptr, /*recovering=*/false);
   if (!scan.ok()) {
     return scan.status();
   }
-
-  auto sig_data = ReadFileBytes(HeadFilePath(path));
-  if (!sig_data.ok()) {
-    return sig_data.status();
+  auto head = ReadSignedHead(path, log_public_key);
+  if (!head.ok()) {
+    return head.status();
   }
-  if (sig_data->size() != crypto::kSha256DigestSize + 16 + 64) {
-    return DataLoss("malformed log head file");
-  }
-  BytesView stored_head = BytesView(*sig_data).subspan(0, crypto::kSha256DigestSize);
-  uint64_t stored_counter = LoadBe64(sig_data->data() + crypto::kSha256DigestSize);
-  uint64_t stored_count = LoadBe64(sig_data->data() + crypto::kSha256DigestSize + 8);
-  auto sig = crypto::EcdsaSignature::Decode(
-      BytesView(*sig_data).subspan(crypto::kSha256DigestSize + 16, 64));
-  if (!sig.has_value()) {
-    return DataLoss("malformed head signature");
-  }
-  Bytes signed_blob(sig_data->begin(),
-                    sig_data->begin() + static_cast<ptrdiff_t>(crypto::kSha256DigestSize + 16));
-  if (!log_public_key.Verify(signed_blob, *sig)) {
-    return PermissionDenied("log head signature invalid: tampered or forged log");
-  }
-  if (!ConstantTimeEqual(stored_head, scan->chain)) {
+  if (!ConstantTimeEqual(head->chain_head, scan->chain)) {
     return PermissionDenied("hash chain mismatch: log entries modified");
   }
-  if (stored_count != scan->count) {
+  if (head->entry_count != scan->entries.size()) {
     return PermissionDenied("entry count mismatch");
   }
   auto current = counter.Read();
   if (!current.ok()) {
     return current.status();
   }
-  if (stored_counter != *current) {
-    return PermissionDenied("rollback detected: counter " + std::to_string(stored_counter) +
+  if (head->counter_value != *current) {
+    return PermissionDenied("rollback detected: counter " + std::to_string(head->counter_value) +
                             " but cluster reports " + std::to_string(*current));
   }
   if (head_out != nullptr) {
-    head_out->counter_value = stored_counter;
-    head_out->entry_count = stored_count;
-    head_out->chain_head = Bytes(stored_head.begin(), stored_head.end());
+    *head_out = std::move(*head);
   }
-  return scan->count;
+  return scan->entries.size();
 }
 
 Result<std::vector<LogEntry>> AuditLog::ReadArchivedEntries(const std::string& path,

@@ -6,13 +6,15 @@
 // each flush to a fresh value of the distributed monotonic counter (ROTE).
 // Trimming re-computes the hashes of the remaining entries.
 //
-// Durable lifecycle (ROADMAP item 3): with `segment_bytes > 0` the log is
-// written as fixed-size segments with chained headers instead of one
-// ever-growing file; closed segments are fsynced and immutable. Periodic
-// sealed snapshots (`snapshot_interval_bytes`) make restart O(tail):
-// Recover() loads the newest valid snapshot and replays only the segments
-// past it. With `archive_trimmed`, Trim moves deleted rows into compressed
-// sealed archive segments so the full history stays auditable offline.
+// On disk (kDisk) the log is a run of fixed-size segments with chained
+// headers (`<path>.segNNNNNN`, see log_segment.h) plus the signed head
+// (`<path>.sig`); closed segments are fsynced and immutable. One scanner
+// reads them back for VerifyLogFile, ReadVerifiedEntries and Recover.
+// Periodic sealed snapshots (`snapshot_interval_bytes`) make restart
+// O(tail): Recover() loads the newest valid snapshot and replays only the
+// segments past it. With `archive_trimmed`, Trim moves deleted rows into
+// compressed sealed archive segments so the full history stays auditable
+// offline.
 #ifndef SRC_CORE_AUDIT_LOG_H_
 #define SRC_CORE_AUDIT_LOG_H_
 
@@ -39,16 +41,17 @@ enum class PersistenceMode {
 
 struct AuditLogOptions {
   PersistenceMode mode = PersistenceMode::kMemory;
-  std::string path;  // file path for kDisk (entries file; ".sig" appended for the head)
+  std::string path;  // base path for kDisk: "<path>.segNNNNNN" segments, "<path>.sig" head
   // Encrypt the persisted log (log privacy, §6.3). The key is derived by
   // the caller (sealing); empty = sign-only.
   Bytes encryption_key;
   rote::RoteCounter::Options counter_options;
 
   // --- durable lifecycle ---
-  // 0 = legacy single-file layout. >0 = segmented: records go into
-  // `<path>.segNNNNNN` files rolled once a segment reaches this many bytes.
-  uint64_t segment_bytes = 0;
+  // Records go into `<path>.segNNNNNN` files; the active segment is closed
+  // and the next one opened once it would exceed this many bytes (a record
+  // larger than that gets a segment of its own).
+  uint64_t segment_bytes = 4 << 20;
   // Resume from on-disk state instead of starting fresh: the constructor
   // leaves prior files alone and Recover() (called after ExecuteSchema)
   // restores the database, chain and counters from the newest valid
@@ -133,11 +136,13 @@ class AuditLog {
   Result<db::QueryResult> QueryWithTimeFloor(const std::string& sql, int64_t floor);
 
   // Runs the trimming queries, then rebuilds the hash chain over the
-  // surviving entries and rewrites the persisted log. The rebuild (and the
-  // counter round it costs in kDisk mode) is skipped when no query deleted
-  // anything. With `archive_trimmed`, the deleted entries are first moved
-  // into a sealed archive segment. `deleted_out` / `archived_out`
-  // (optional) receive the number of rows removed / archived.
+  // surviving entries and rewrites the persisted log. Every query must be
+  // a DELETE (InvalidArgument otherwise, before any of them runs). The
+  // rebuild (and the counter round it costs in kDisk mode) is skipped when
+  // no query deleted anything. With `archive_trimmed`, the deleted entries
+  // are first moved into a sealed archive segment. `deleted_out` /
+  // `archived_out` (optional) receive the number of rows removed /
+  // archived.
   Status Trim(const std::vector<std::string>& trimming_queries,
               size_t* deleted_out = nullptr, size_t* archived_out = nullptr);
 
@@ -151,8 +156,8 @@ class AuditLog {
   };
 
   // Verifies a persisted log against tampering and rollback: recomputes
-  // the chain (across all segments, checking each segment header's
-  // continuity in the segmented layout), checks the signature with
+  // the chain across all segments (checking every segment header against
+  // its neighbours and its records), checks the signature with
   // `log_public_key`, and compares the embedded counter against the ROTE
   // cluster. Returns the number of verified entries; `head_out` (optional)
   // receives what the verified head claimed.
@@ -204,28 +209,19 @@ class AuditLog {
     Bytes head_after;     // chain head after this entry
   };
 
-  Status PersistEntry(const LogEntry& entry);
+  // Extends the chain with `entry` and, in kDisk mode, stages its framed
+  // (and, with a key, encrypted) record: the entry is serialised once for
+  // both.
+  void ChainEntry(const LogEntry& entry);
+  // Replaces every segment with the staged records of the rebuilt chain.
   Status RewritePersistedLog();
-  Bytes ExtendChain(const Bytes& head, const LogEntry& entry) const;
   // nonce || ciphertext || tag with a key configured, the plain serialised
   // entry otherwise.
   Bytes EncodeRecord(BytesView plain);
-  void AppendFramedRecord(Bytes& out, const LogEntry& entry);
-  void StageEntry(const LogEntry& entry);
   SealContext MakeSealContext() const;
-  // Segment-aware flush: opens/rolls/closes segments at record
-  // boundaries. `frames` carries the per-record tickets and chain heads
-  // matching `batch`.
-  Status FlushSegmented(BytesView batch, const std::vector<StagedFrame>& frames);
   Status OpenSegment(const Bytes& prev_head, int64_t first_ticket);
   Status CloseActiveSegment();
   Status MaybeSnapshot();
-  // Scans segments (or the legacy file) from the snapshot's resume point,
-  // decrypting and re-chaining records. Returns recovered entries without
-  // touching member state so a failed snapshot plan can fall back to a
-  // full replay.
-  struct ReplayResult;
-  Result<ReplayResult> ScanPersisted(const SnapshotState* snapshot) const;
 
   AuditLogOptions options_;
   crypto::EcdsaPrivateKey signing_key_;
@@ -248,7 +244,7 @@ class AuditLog {
   // Kept for chain recomputation on trim: the serialised entries in order.
   std::vector<LogEntry> entries_;
 
-  // --- segmented-layout state ---
+  // --- segment state ---
   uint32_t active_segment_ = 0;
   uint32_t segment_count_ = 0;           // segments existing on disk
   uint64_t active_segment_file_bytes_ = 0;  // includes the header

@@ -25,7 +25,7 @@
 namespace seal::core {
 
 struct PartialLog {
-  std::string path;                       // persisted entries file
+  std::string path;                       // base path of the persisted log
   crypto::EcdsaPublicKey log_public_key;  // that instance's enclave key
   const rote::RoteCounter* counter = nullptr;  // for rollback verification
   Bytes encryption_key;                   // empty if the log is plaintext

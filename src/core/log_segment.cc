@@ -381,7 +381,6 @@ std::vector<uint32_t> ListArchiveFiles(const std::string& base) {
 }
 
 void RemoveLogFiles(const std::string& base) {
-  RemoveFileIfExists(base);
   RemoveFileIfExists(HeadFilePath(base));
   RemoveFileIfExists(HeadFilePath(base) + ".tmp");
   RemoveFileIfExists(SnapshotFilePath(base));
@@ -430,7 +429,14 @@ Result<SegmentHeader> SegmentHeader::Decode(BytesView in) {
   header.index = LoadBe32(in.data() + off);
   off += 4;
   header.closed = LoadBe32(in.data() + off);
-  off += 8;  // closed + reserved
+  off += 4;
+  if (header.closed > 1) {
+    return DataLoss("bad segment closed flag");
+  }
+  if (LoadBe32(in.data() + off) != 0) {
+    return DataLoss("segment header reserved word set");
+  }
+  off += 4;
   header.rewrite_epoch = LoadBe64(in.data() + off);
   off += 8;
   header.prev_head.assign(in.begin() + static_cast<ptrdiff_t>(off),

@@ -66,14 +66,18 @@ std::string HeadFilePath(const std::string& base);
 std::vector<uint32_t> ListSegmentFiles(const std::string& base);
 std::vector<uint32_t> ListArchiveFiles(const std::string& base);
 
-// Removes every lifecycle file of `base` (entries file, head, snapshot,
-// segments, archives). Used when a log is opened without recovery.
+// Removes every lifecycle file of `base` (head, snapshot, segments,
+// archives). Used when a log is opened without recovery.
 void RemoveLogFiles(const std::string& base);
 
 // --- segment header -------------------------------------------------------
 
 inline constexpr size_t kSegmentHeaderSize = 88;
 
+// Every field but two is checked by the log scanner against the other
+// segments or the segment's own records. `counter_value` is never read,
+// and the `rewrite_epoch` of a lone segment has nothing to agree with:
+// neither is evidence (DESIGN.md §3g).
 struct SegmentHeader {
   uint32_t version = 1;
   uint32_t index = 0;
@@ -81,10 +85,12 @@ struct SegmentHeader {
   uint64_t rewrite_epoch = 0;   // bumped by every trim rewrite
   Bytes prev_head;              // chain head before this segment's first record
   int64_t first_ticket = 0;
-  int64_t last_ticket = 0;      // filled at close
+  int64_t last_ticket = 0;      // filled at close; 0 while open
   uint64_t counter_value = 0;   // last committed ROTE value at creation
 
   Bytes Encode() const;
+  // Rejects a bad magic or version, a `closed` flag other than 0 or 1 and
+  // a nonzero reserved word.
   static Result<SegmentHeader> Decode(BytesView in);
 };
 

@@ -114,12 +114,13 @@ TEST_F(AuditLogTest, TamperedEntryDetected) {
     ASSERT_TRUE(log.Append("updates", GitUpdateRow(i, "main", "c" + std::to_string(i))).ok());
   }
   ASSERT_TRUE(log.CommitHead().ok());
-  // The provider edits the stored log: flip one byte in the middle.
-  std::FILE* f = std::fopen(path.c_str(), "rb+");
+  // The provider edits the stored log: flip one byte in the middle of the
+  // records.
+  std::FILE* f = std::fopen(SegmentFilePath(path, 0).c_str(), "rb+");
   ASSERT_NE(f, nullptr);
-  std::fseek(f, 40, SEEK_SET);
+  std::fseek(f, kSegmentHeaderSize + 40, SEEK_SET);
   int c = std::fgetc(f);
-  std::fseek(f, 40, SEEK_SET);
+  std::fseek(f, kSegmentHeaderSize + 40, SEEK_SET);
   std::fputc(c ^ 0x01, f);
   std::fclose(f);
   EXPECT_FALSE(AuditLog::VerifyLogFile(path, key.public_key(), log.counter()).ok());
@@ -166,14 +167,14 @@ TEST_F(AuditLogTest, RollbackDetectedViaCounter) {
     std::fclose(in);
     std::fclose(out);
   };
-  copy(path, backup);
+  copy(SegmentFilePath(path, 0), backup);
   copy(path + ".sig", backup_sig);
   // More activity advances the counter.
   ASSERT_TRUE(log.Append("updates", GitUpdateRow(2, "main", "c2")).ok());
   ASSERT_TRUE(log.CommitHead().ok());
   // The old state still verifies entry-wise... but the counter gives the
   // rollback away.
-  copy(backup, path);
+  copy(backup, SegmentFilePath(path, 0));
   copy(backup_sig, path + ".sig");
   auto verified = AuditLog::VerifyLogFile(path, key.public_key(), log.counter());
   ASSERT_FALSE(verified.ok());
@@ -215,7 +216,7 @@ TEST_F(AuditLogTest, EncryptedLogRoundTrip) {
   ASSERT_TRUE(log.Append("updates", GitUpdateRow(1, "main", "secret-cid")).ok());
   ASSERT_TRUE(log.CommitHead().ok());
   // Ciphertext on disk: the payload must not appear in the clear.
-  std::FILE* f = std::fopen(path.c_str(), "rb");
+  std::FILE* f = std::fopen(SegmentFilePath(path, 0).c_str(), "rb");
   ASSERT_NE(f, nullptr);
   std::string contents;
   int c;
@@ -244,16 +245,11 @@ TEST_F(AuditLogTest, EncryptedRecordsCarryUniqueNonces) {
   ASSERT_TRUE(log.CommitHead().ok());
   // Walk the on-disk frames: every record's leading 12 bytes (the GCM
   // nonce) must be distinct even though one cached context sealed them all.
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  ASSERT_NE(f, nullptr);
-  Bytes data;
-  int c;
-  while ((c = std::fgetc(f)) != EOF) {
-    data.push_back(static_cast<uint8_t>(c));
-  }
-  std::fclose(f);
+  auto file = ReadFileBytes(SegmentFilePath(path, 0));
+  ASSERT_TRUE(file.ok());
+  const Bytes& data = *file;
   std::set<Bytes> nonces;
-  size_t off = 0;
+  size_t off = kSegmentHeaderSize;
   while (off < data.size()) {
     ASSERT_LE(off + 4, data.size());
     uint32_t len = LoadBe32(data.data() + off);
@@ -416,37 +412,197 @@ TEST_F(AuditLogTest, LogEntryHugeTableLengthRejected) {
 
 TEST_F(AuditLogTest, ReadVerifiedEntriesRejectsHostileRecords) {
   const std::string path = TempPath("hostile_records.log");
+  RemoveLogFiles(path);
+  // Each hostile frame sits behind a valid header of segment 0.
+  const std::string seg0 = SegmentFilePath(path, 0);
+  SegmentHeader header;
+  header.prev_head.assign(crypto::kSha256DigestSize, 0);
   // Record with trailing bytes after a valid entry.
   {
-    Bytes file;
+    Bytes file = header.Encode();
     Bytes wire = EntryWithRawValues({"I1"});
     wire.push_back(0x00);  // one stray byte inside the frame
     AppendBe32(file, static_cast<uint32_t>(wire.size()));
     Append(file, wire);
-    ASSERT_TRUE(DurableWriteFile(path, file, /*append=*/false, /*sync=*/false).ok());
+    ASSERT_TRUE(DurableWriteFile(seg0, file, /*append=*/false, /*sync=*/false).ok());
     auto entries = AuditLog::ReadVerifiedEntries(path);
     ASSERT_FALSE(entries.ok());
     EXPECT_NE(entries.status().message().find("trailing bytes"), std::string::npos);
   }
   // Frame length running past the end of the file.
   {
-    Bytes file;
+    Bytes file = header.Encode();
     AppendBe32(file, 1000);
     file.push_back(0xAB);
-    ASSERT_TRUE(DurableWriteFile(path, file, /*append=*/false, /*sync=*/false).ok());
+    ASSERT_TRUE(DurableWriteFile(seg0, file, /*append=*/false, /*sync=*/false).ok());
     auto entries = AuditLog::ReadVerifiedEntries(path);
     ASSERT_FALSE(entries.ok());
     EXPECT_NE(entries.status().message().find("truncated record body"), std::string::npos);
   }
   // Frame cut off inside the 4-byte length prefix.
   {
-    Bytes file = {0x00, 0x00};
-    ASSERT_TRUE(DurableWriteFile(path, file, /*append=*/false, /*sync=*/false).ok());
+    Bytes file = header.Encode();
+    file.push_back(0x00);
+    file.push_back(0x00);
+    ASSERT_TRUE(DurableWriteFile(seg0, file, /*append=*/false, /*sync=*/false).ok());
     auto entries = AuditLog::ReadVerifiedEntries(path);
     ASSERT_FALSE(entries.ok());
     EXPECT_NE(entries.status().message().find("truncated record frame"), std::string::npos);
   }
-  std::remove(path.c_str());
+  RemoveLogFiles(path);
+}
+
+TEST_F(AuditLogTest, SegmentHeaderEditsDetected) {
+  // Every authenticated header field is checked by the verifier: against
+  // the other segments, or against the segment's own records.
+  const std::string path = TempPath("segment_header_edits.log");
+  crypto::EcdsaPrivateKey key = TestKey();
+  AuditLog log(DiskOptions(path), key);
+  ASSERT_TRUE(log.ExecuteSchema(GitSchema()).ok());
+  for (int i = 1; i <= 3; ++i) {
+    ASSERT_TRUE(log.Append("updates", GitUpdateRow(i, "main", "c" + std::to_string(i))).ok());
+  }
+  ASSERT_TRUE(log.CommitHead().ok());
+  const std::string seg0 = SegmentFilePath(path, 0);
+  auto original = ReadFileBytes(seg0);
+  ASSERT_TRUE(original.ok());
+  auto header = SegmentHeader::Decode(*original);
+  ASSERT_TRUE(header.ok());
+  ASSERT_EQ(header->closed, 0u);  // the lone segment is still open
+
+  auto rejected = [&](const char* what, const Bytes& edited) {
+    ASSERT_TRUE(DurableWriteFile(seg0, edited, /*append=*/false, /*sync=*/false).ok());
+    EXPECT_FALSE(AuditLog::VerifyLogFile(path, key.public_key(), log.counter()).ok()) << what;
+    ASSERT_TRUE(DurableWriteFile(seg0, *original, /*append=*/false, /*sync=*/false).ok());
+  };
+  auto with_header = [&](const SegmentHeader& edited) {
+    Bytes file = edited.Encode();
+    file.insert(file.end(), original->begin() + kSegmentHeaderSize, original->end());
+    return file;
+  };
+  Bytes reserved = *original;
+  reserved[23] = 0x01;  // bytes 20..23: the reserved word after `closed`
+  rejected("reserved word set", reserved);
+  SegmentHeader closed = *header;
+  closed.closed = 1;
+  rejected("last segment marked closed", with_header(closed));
+  closed.closed = 2;
+  rejected("closed flag out of range", with_header(closed));
+  SegmentHeader first = *header;
+  first.first_ticket += 1;
+  rejected("first ticket of an open segment edited", with_header(first));
+  SegmentHeader last = *header;
+  last.last_ticket = 3;
+  rejected("open segment claims a last ticket", with_header(last));
+  EXPECT_TRUE(AuditLog::VerifyLogFile(path, key.public_key(), log.counter()).ok());
+}
+
+// --- trimming statements ----------------------------------------------------
+
+TEST_F(AuditLogTest, NonDeleteTrimIsRejectedBeforeAnyStatementRuns) {
+  const std::string path = TempPath("trim_non_delete.log");
+  crypto::EcdsaPrivateKey key = TestKey();
+  AuditLog log(DiskOptions(path), key);
+  ASSERT_TRUE(log.ExecuteSchema(GitSchema()).ok());
+  for (int i = 1; i <= 3; ++i) {
+    ASSERT_TRUE(
+        log.Append("updates", GitUpdateRow(i, "main", "c" + std::to_string(i)), 100 + i).ok());
+  }
+  ASSERT_TRUE(log.CommitHead().ok());
+  const Bytes head = log.chain_head();
+  std::vector<Bytes> before;
+  for (const LogEntry& entry : log.entries()) {
+    before.push_back(entry.Serialize());
+  }
+  // The DELETE comes first, yet nothing runs: every statement is checked
+  // before any of them executes.
+  for (const std::string& bad : {std::string("UPDATE updates SET cid = 'x' WHERE time = 2"),
+                                 std::string("INSERT INTO updates VALUES (9, 'r', 'main', "
+                                             "'c9', 'update')")}) {
+    size_t deleted = 7;
+    Status s = log.Trim({"DELETE FROM updates WHERE time = 1", bad}, &deleted);
+    EXPECT_EQ(s.code(), StatusCode::kInvalidArgument) << bad;
+    EXPECT_EQ(deleted, 0u);
+  }
+  EXPECT_EQ(log.chain_head(), head);
+  ASSERT_EQ(log.entries().size(), before.size());
+  for (size_t i = 0; i < before.size(); ++i) {
+    EXPECT_EQ(log.entries()[i].Serialize(), before[i]);
+  }
+  auto rows = log.Query("SELECT time, cid FROM updates ORDER BY time");
+  ASSERT_TRUE(rows.ok());
+  ASSERT_EQ(rows->rows.size(), 3u);
+  for (int i = 0; i < 3; ++i) {
+    EXPECT_EQ(rows->rows[i][1].AsText(), "c" + std::to_string(i + 1));
+  }
+  auto verified = AuditLog::VerifyLogFile(path, key.public_key(), log.counter());
+  ASSERT_TRUE(verified.ok()) << verified.status().ToString();
+  EXPECT_EQ(*verified, 3u);
+}
+
+TEST_F(AuditLogTest, TrimRefusesRowsWithoutLogEntries) {
+  // Every database row is some log entry; a row that bypassed Append has
+  // no entry to keep, so the rebuild reports it instead of dropping it.
+  AuditLog log(MemOptions(), TestKey());
+  ASSERT_TRUE(log.ExecuteSchema(GitSchema()).ok());
+  ASSERT_TRUE(log.Append("updates", GitUpdateRow(1, "main", "c1")).ok());
+  ASSERT_TRUE(log.Append("updates", GitUpdateRow(2, "main", "c2")).ok());
+  ASSERT_TRUE(log.database().InsertRow("updates", GitUpdateRow(3, "main", "stray")).ok());
+  Status s = log.Trim({"DELETE FROM updates WHERE time = 1"});
+  EXPECT_EQ(s.code(), StatusCode::kInternal) << s.ToString();
+}
+
+TEST_F(AuditLogTest, TrimInOneTableKeepsCrossTableOrderAndWallClocks) {
+  const std::string path = TempPath("trim_two_tables.log");
+  crypto::EcdsaPrivateKey key = TestKey();
+  AuditLog log(DiskOptions(path), key);
+  ASSERT_TRUE(log.ExecuteSchema(GitSchema()).ok());
+  auto advert = [](int64_t time, const std::string& cid) {
+    return db::Row{db::Value(time), db::Value(std::string("r")), db::Value(std::string("main")),
+                   db::Value(cid)};
+  };
+  // updates and advertisements interleaved, each entry with its own wall
+  // clock.
+  for (int i = 1; i <= 3; ++i) {
+    const std::string cid = "c" + std::to_string(i);
+    ASSERT_TRUE(log.Append("updates", GitUpdateRow(i, "main", cid), 100 * i + 1).ok());
+    ASSERT_TRUE(log.Append("advertisements", advert(i, cid), 100 * i + 2).ok());
+  }
+  ASSERT_TRUE(log.CommitHead().ok());
+  size_t deleted = 0;
+  ASSERT_TRUE(log.Trim({"DELETE FROM updates WHERE time < 3"}, &deleted).ok());
+  EXPECT_EQ(deleted, 2u);
+
+  struct Kept {
+    std::string table;
+    int64_t wall_nanos;
+    std::string cid;
+  };
+  const std::vector<Kept> expected = {{"advertisements", 102, "c1"},
+                                      {"advertisements", 202, "c2"},
+                                      {"updates", 301, "c3"},
+                                      {"advertisements", 302, "c3"}};
+  auto entries = AuditLog::ReadVerifiedEntries(path);
+  ASSERT_TRUE(entries.ok()) << entries.status().ToString();
+  ASSERT_EQ(entries->size(), expected.size());
+  ASSERT_EQ(log.entries().size(), expected.size());
+  for (size_t i = 0; i < expected.size(); ++i) {
+    EXPECT_EQ((*entries)[i].table, expected[i].table) << "entry " << i;
+    EXPECT_EQ((*entries)[i].wall_nanos, expected[i].wall_nanos) << "entry " << i;
+    ASSERT_EQ((*entries)[i].values.size(), expected[i].table == "updates" ? 5u : 4u);
+    EXPECT_EQ((*entries)[i].values[3].AsText(), expected[i].cid) << "entry " << i;
+    EXPECT_EQ(log.entries()[i].Serialize(), (*entries)[i].Serialize()) << "entry " << i;
+  }
+  // The rebuilt chain is the chain a log holding only the survivors has.
+  AuditLog fresh(MemOptions(), TestKey());
+  ASSERT_TRUE(fresh.ExecuteSchema(GitSchema()).ok());
+  for (const LogEntry& entry : *entries) {
+    ASSERT_TRUE(fresh.Append(entry.table, entry.values, entry.wall_nanos).ok());
+  }
+  EXPECT_EQ(log.chain_head(), fresh.chain_head());
+  auto verified = AuditLog::VerifyLogFile(path, key.public_key(), log.counter());
+  ASSERT_TRUE(verified.ok()) << verified.status().ToString();
+  EXPECT_EQ(*verified, expected.size());
 }
 
 // --- trim wall-clock preservation -----------------------------------------
@@ -490,6 +646,11 @@ TEST_F(AuditLogTest, TrimPreservesWallClocksForIdenticalRows) {
   ASSERT_EQ(entries->size(), 2u);
   EXPECT_EQ((*entries)[0].wall_nanos, 100);
   EXPECT_EQ((*entries)[1].wall_nanos, 200);
+  for (const LogEntry& entry : *entries) {
+    EXPECT_EQ(entry.table, "updates");
+    ASSERT_EQ(entry.values.size(), 5u);
+    EXPECT_EQ(entry.values[3].AsText(), "a");
+  }
 }
 
 }  // namespace

@@ -8,6 +8,7 @@
 #include <thread>
 
 #include "src/core/libseal.h"
+#include "src/core/log_segment.h"
 #include "src/obs/obs.h"
 #include "src/services/dropbox_service.h"
 #include "src/services/git_service.h"
@@ -174,12 +175,12 @@ TEST(Integration, GitPersistedLogSurvivesVerification) {
   ASSERT_TRUE(verified.ok()) << verified.status().ToString();
   EXPECT_EQ(*verified, 3u);
 
-  // A provider edit is detected.
-  std::FILE* f = std::fopen(path.c_str(), "rb+");
+  // A provider edit of a record is detected.
+  std::FILE* f = std::fopen(core::SegmentFilePath(path, 0).c_str(), "rb+");
   ASSERT_NE(f, nullptr);
-  std::fseek(f, 30, SEEK_SET);
+  std::fseek(f, core::kSegmentHeaderSize + 30, SEEK_SET);
   int c = std::fgetc(f);
-  std::fseek(f, 30, SEEK_SET);
+  std::fseek(f, core::kSegmentHeaderSize + 30, SEEK_SET);
   std::fputc(c ^ 0x40, f);
   std::fclose(f);
   EXPECT_FALSE(core::AuditLog::VerifyLogFile(path, runtime.log_public_key(),

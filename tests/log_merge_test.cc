@@ -7,6 +7,7 @@
 #include <memory>
 
 #include "src/core/log_merge.h"
+#include "src/core/log_segment.h"
 #include "src/core/logger.h"
 #include "src/services/git_service.h"
 #include "src/ssm/git_ssm.h"
@@ -129,11 +130,11 @@ TEST(LogMerge, TamperedPartialRejectsWholeMerge) {
   a.Pump(backend, services::MakeGitPush("repo", {{"main", "c1"}}));
   b.Pump(backend, services::MakeGitFetch("repo"));
   // Provider edits instance A's log.
-  std::FILE* f = std::fopen(a.path.c_str(), "rb+");
+  std::FILE* f = std::fopen(SegmentFilePath(a.path, 0).c_str(), "rb+");
   ASSERT_NE(f, nullptr);
-  std::fseek(f, 25, SEEK_SET);
+  std::fseek(f, kSegmentHeaderSize + 25, SEEK_SET);
   int c = std::fgetc(f);
-  std::fseek(f, 25, SEEK_SET);
+  std::fseek(f, kSegmentHeaderSize + 25, SEEK_SET);
   std::fputc(c ^ 0x10, f);
   std::fclose(f);
   ssm::GitModule module;

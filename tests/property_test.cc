@@ -3,6 +3,7 @@
 // correctness across the (S, T) configuration space.
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <numeric>
 #include <thread>
 
@@ -284,6 +285,13 @@ INSTANTIATE_TEST_SUITE_P(Seeds, VectorizedDifferential,
 
 class ChainTamperSweep : public ::testing::TestWithParam<size_t> {};
 
+// The header fields of segment 0 that carry no evidence: `rewrite_epoch`
+// (a lone segment has no other segment to agree with) and `counter_value`
+// (written, never read). Every other header byte is checked.
+bool UnauthenticatedHeaderByte(size_t pos) {
+  return (pos >= 24 && pos < 32) || (pos >= 80 && pos < core::kSegmentHeaderSize);
+}
+
 TEST_P(ChainTamperSweep, FlipAtOffsetDetected) {
   size_t offset_step = GetParam();
   std::string path =
@@ -306,15 +314,28 @@ TEST_P(ChainTamperSweep, FlipAtOffsetDetected) {
   ASSERT_TRUE(log.CommitHead().ok());
   ASSERT_TRUE(core::AuditLog::VerifyLogFile(path, key.public_key(), log.counter()).ok());
 
-  // Flip one byte at every offset_step-th position.
-  std::FILE* f = std::fopen(path.c_str(), "rb");
+  // Flip every authenticated header byte of segment 0, then one record
+  // byte at every offset_step-th position.
+  const std::string seg0 = core::SegmentFilePath(path, 0);
+  std::FILE* f = std::fopen(seg0.c_str(), "rb");
   ASSERT_NE(f, nullptr);
   std::fseek(f, 0, SEEK_END);
-  long size = std::ftell(f);
+  const long size = std::ftell(f);
   std::fclose(f);
-  for (long pos = static_cast<long>(offset_step) % size; pos < size;
+  const long header = static_cast<long>(core::kSegmentHeaderSize);
+  ASSERT_GT(size, header);
+  std::vector<long> positions;
+  for (long pos = 0; pos < header; ++pos) {
+    if (!UnauthenticatedHeaderByte(static_cast<size_t>(pos))) {
+      positions.push_back(pos);
+    }
+  }
+  for (long pos = header + static_cast<long>(offset_step) % (size - header); pos < size;
        pos += static_cast<long>(offset_step) + 13) {
-    std::FILE* rw = std::fopen(path.c_str(), "rb+");
+    positions.push_back(pos);
+  }
+  for (long pos : positions) {
+    std::FILE* rw = std::fopen(seg0.c_str(), "rb+");
     std::fseek(rw, pos, SEEK_SET);
     int c = std::fgetc(rw);
     std::fseek(rw, pos, SEEK_SET);
@@ -323,7 +344,7 @@ TEST_P(ChainTamperSweep, FlipAtOffsetDetected) {
     EXPECT_FALSE(core::AuditLog::VerifyLogFile(path, key.public_key(), log.counter()).ok())
         << "flip at " << pos << " went undetected";
     // Restore.
-    rw = std::fopen(path.c_str(), "rb+");
+    rw = std::fopen(seg0.c_str(), "rb+");
     std::fseek(rw, pos, SEEK_SET);
     std::fputc(c, rw);
     std::fclose(rw);

@@ -3,6 +3,7 @@
 // reconstruction.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <memory>
 #include <string>
@@ -158,26 +159,6 @@ TEST(Recovery, CleanRestartRestoresLogAndChain) {
   for (size_t i = 0; i < entries_before.size(); ++i) {
     EXPECT_EQ(after[i], entries_before[i]) << "entry " << i << " changed across restart";
   }
-}
-
-TEST(Recovery, LegacySingleFileLayoutRecovers) {
-  const std::string path = FreshPath("recover_legacy.log");
-  AuditLogOptions options = SegmentedOptions(path);
-  options.segment_bytes = 0;  // legacy single-file layout
-  {
-    AuditLog log(options, TestKey());
-    ASSERT_TRUE(log.ExecuteSchema(GitSchema()).ok());
-    ASSERT_TRUE(log.Recover().ok());
-    FillLog(log, 1, 12);
-  }
-  AuditLog log(options, TestKey());
-  ASSERT_TRUE(log.ExecuteSchema(GitSchema()).ok());
-  AuditLog::RecoveryInfo info;
-  ASSERT_TRUE(log.Recover(&info).ok());
-  EXPECT_EQ(log.entry_count(), 12u);
-  EXPECT_EQ(info.replayed_entries, 12u);
-  auto verified = AuditLog::VerifyLogFile(path, TestKey().public_key(), log.counter());
-  ASSERT_TRUE(verified.ok()) << verified.status().message();
 }
 
 TEST(Recovery, FreshPathRecoversEmpty) {
@@ -546,6 +527,141 @@ TEST(TrimArchive, RestartAfterTrimRecoversPostTrimLog) {
   history = AuditLog::ReadFullHistory(path);
   ASSERT_TRUE(history.ok());
   EXPECT_EQ(history->size(), 35u);
+}
+
+// --- crash windows inside a trim ------------------------------------------
+//
+// A trim rewrites the retained log, then commits a head over it. A crash
+// between the two, or in the middle of the rewrite, leaves a shortened log
+// next to the pre-trim head. Recovery must refuse to start on it: the
+// shortened log is indistinguishable from a truncation attack. (This is
+// an availability gap append-only trims close.)
+
+// Builds a 30-entry log, trims it to 10 and returns the pre-trim head.
+Bytes TrimmedLogWithPreTrimHead(const std::string& path, const AuditLogOptions& options) {
+  AuditLog log(options, TestKey());
+  EXPECT_TRUE(log.ExecuteSchema(GitSchema()).ok());
+  EXPECT_TRUE(log.Recover().ok());
+  FillLog(log, 1, 30);
+  auto head = ReadFileBytes(HeadFilePath(path));
+  EXPECT_TRUE(head.ok());
+  size_t deleted = 0;
+  EXPECT_TRUE(log.Trim({"DELETE FROM updates WHERE time <= 20"}, &deleted).ok());
+  EXPECT_EQ(deleted, 20u);
+  return head.ok() ? *head : Bytes();
+}
+
+void ExpectRecoveryRefuses(const std::string& path, const AuditLogOptions& options) {
+  AuditLog log(options, TestKey());
+  ASSERT_TRUE(log.ExecuteSchema(GitSchema()).ok());
+  Status s = log.Recover();
+  ASSERT_FALSE(s.ok()) << "recovery started on a log shorter than its committed head";
+  EXPECT_TRUE(s.code() == StatusCode::kDataLoss || s.code() == StatusCode::kPermissionDenied)
+      << s.ToString();
+  EXPECT_EQ(log.entry_count(), 0u);
+}
+
+TEST(TrimCrash, RewrittenLogWithPreTrimHeadRefusesToStart) {
+  // Crash after the rewrite, before the post-trim CommitHead: the
+  // segments hold the 10 survivors, the head still covers 30 entries.
+  const std::string path = FreshPath("trim_crash_head.log");
+  AuditLogOptions options = SegmentedOptions(path, /*segment_bytes=*/512);
+  options.snapshot_interval_bytes = 1024;
+  const Bytes pre_trim_head = TrimmedLogWithPreTrimHead(path, options);
+  ASSERT_FALSE(pre_trim_head.empty());
+  ASSERT_FALSE(ListSegmentFiles(path).empty());
+  ASSERT_TRUE(
+      DurableWriteFile(HeadFilePath(path), pre_trim_head, /*append=*/false, /*sync=*/false).ok());
+  ExpectRecoveryRefuses(path, options);
+}
+
+TEST(TrimCrash, DeletedSegmentsWithPreTrimHeadRefuseToStart) {
+  // Crash after the rewrite deleted the old segments, before it wrote the
+  // new ones: no segment, no snapshot, the pre-trim head.
+  const std::string path = FreshPath("trim_crash_deleted.log");
+  AuditLogOptions options = SegmentedOptions(path, /*segment_bytes=*/512);
+  options.snapshot_interval_bytes = 1024;
+  const Bytes pre_trim_head = TrimmedLogWithPreTrimHead(path, options);
+  ASSERT_FALSE(pre_trim_head.empty());
+  for (uint32_t index : ListSegmentFiles(path)) {
+    RemoveFileIfExists(SegmentFilePath(path, index));
+  }
+  RemoveFileIfExists(SnapshotFilePath(path));
+  ASSERT_TRUE(
+      DurableWriteFile(HeadFilePath(path), pre_trim_head, /*append=*/false, /*sync=*/false).ok());
+  ExpectRecoveryRefuses(path, options);
+}
+
+TEST(Recovery, EditedFirstTicketOfOpenSegmentFailsRecovery) {
+  // Caught when read, not carried into the next close where it would
+  // surface later as a ticket range mismatch.
+  const std::string path = FreshPath("recover_first_ticket.log");
+  {
+    AuditLog log(SegmentedOptions(path), TestKey());
+    ASSERT_TRUE(log.ExecuteSchema(GitSchema()).ok());
+    ASSERT_TRUE(log.Recover().ok());
+    FillLog(log, 1, 40);
+  }
+  const auto segments = ListSegmentFiles(path);
+  ASSERT_GT(segments.size(), 1u);
+  const std::string last = SegmentFilePath(path, segments.back());
+  auto data = ReadFileBytes(last);
+  ASSERT_TRUE(data.ok());
+  auto header = SegmentHeader::Decode(*data);
+  ASSERT_TRUE(header.ok());
+  ASSERT_EQ(header->closed, 0u);
+  header->first_ticket += 1;
+  const Bytes edited = header->Encode();
+  std::copy(edited.begin(), edited.end(), data->begin());
+  ASSERT_TRUE(DurableWriteFile(last, *data, /*append=*/false, /*sync=*/false).ok());
+  AuditLog log(SegmentedOptions(path), TestKey());
+  ASSERT_TRUE(log.ExecuteSchema(GitSchema()).ok());
+  Status s = log.Recover();
+  ASSERT_FALSE(s.ok());
+  EXPECT_NE(s.message().find("ticket range"), std::string::npos) << s.message();
+}
+
+TEST(Recovery, HeaderOnlyLastSegmentIsReopened) {
+  // Crash between writing a new segment's header and its first record:
+  // the empty segment is dropped and the next append recreates it with
+  // the right first ticket.
+  const std::string path = FreshPath("recover_header_only.log");
+  Bytes head;
+  {
+    AuditLog log(SegmentedOptions(path), TestKey());
+    ASSERT_TRUE(log.ExecuteSchema(GitSchema()).ok());
+    ASSERT_TRUE(log.Recover().ok());
+    FillLog(log, 1, 20);
+    head = log.chain_head();
+  }
+  const uint32_t next = ListSegmentFiles(path).back() + 1;
+  {
+    auto last = ReadFileBytes(SegmentFilePath(path, next - 1));
+    ASSERT_TRUE(last.ok());
+    auto header = SegmentHeader::Decode(*last);
+    ASSERT_TRUE(header.ok());
+    // Close the last segment as a roll would, then open an empty one that
+    // claims ticket 999.
+    header->closed = 1;
+    header->last_ticket = 20;
+    ASSERT_TRUE(UpdateSegmentHeader(SegmentFilePath(path, next - 1), *header, false).ok());
+    SegmentHeader empty;
+    empty.index = next;
+    empty.rewrite_epoch = header->rewrite_epoch;
+    empty.prev_head = head;
+    empty.first_ticket = 999;
+    ASSERT_TRUE(DurableWriteFile(SegmentFilePath(path, next), empty.Encode(), /*append=*/false,
+                                 /*sync=*/false)
+                    .ok());
+  }
+  AuditLog log(SegmentedOptions(path), TestKey());
+  ASSERT_TRUE(log.ExecuteSchema(GitSchema()).ok());
+  ASSERT_TRUE(log.Recover().ok());
+  EXPECT_EQ(log.entry_count(), 20u);
+  FillLog(log, 21, 3);
+  auto verified = AuditLog::VerifyLogFile(path, TestKey().public_key(), log.counter());
+  ASSERT_TRUE(verified.ok()) << verified.status().message();
+  EXPECT_EQ(*verified, 23u);
 }
 
 // --- shard-set epoch anchoring under crash ---
