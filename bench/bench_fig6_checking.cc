@@ -8,20 +8,19 @@
 // absolute check+trim costs of 0.3-0.4 ms at those optima (on SQLite; our
 // interpreter is slower in absolute terms, so our optima shift right --
 // the curve SHAPE is the reproduced result).
-#include <array>
+#include <algorithm>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <functional>
 #include <map>
 #include <memory>
-#include <sstream>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
 #include "bench/bench_common.h"
-#include "src/core/shard.h"
+#include "src/core/logger.h"
 #include "src/services/dropbox_service.h"
 #include "src/services/git_service.h"
 #include "src/services/owncloud_service.h"
@@ -132,13 +131,9 @@ void RunLogGrowth() {
     db::Tuning tuning;
     bool incremental;
   } kConfigs[3] = {
-      // use_vectorized off throughout: this sweep isolates what indexes and
-      // watermarks buy; the columnar engine has its own series below.
-      {"seed", {.use_time_index = false, .use_hash_join = false, .use_vectorized = false}, false},
-      {"indexed", {.use_time_index = true, .use_hash_join = true, .use_vectorized = false}, false},
-      {"incremental",
-       {.use_time_index = true, .use_hash_join = true, .use_vectorized = false},
-       true},
+      {"seed", {.use_time_index = false, .use_hash_join = false}, false},
+      {"indexed", {.use_time_index = true, .use_hash_join = true}, false},
+      {"incremental", {.use_time_index = true, .use_hash_join = true}, true},
   };
 
   std::vector<GrowthSample> samples(kRounds);
@@ -195,232 +190,6 @@ void RunLogGrowth() {
               "incremental round cost %.2fx its first round (flat = 1x)\n",
               last.rows, last.check_ms[0] / last.check_ms[1],
               last.check_ms[2] / first.check_ms[2]);
-}
-
-// --- Vectorized engine: scan/join-heavy check rounds ----------------------
-//
-// The Git invariants lean on correlated subqueries, which the vectorized
-// engine's analyzer rejects (it falls back to the interpreter), so the
-// growth sweep above measures the interpreter whichever way the flag is
-// set. This series uses a key-value SSM whose invariants are exactly the
-// shapes the columnar kernels execute natively — full-scan filters, an
-// equi hash anti-join and a GROUP BY — replayed to growing log sizes with
-// trimming off, interpreted vs vectorized over the identical byte stream.
-
-class KvModule : public core::ServiceModule {
- public:
-  std::string name() const override { return "kv"; }
-  std::vector<std::string> Schema() const override {
-    return {"CREATE TABLE puts(time, k, v, sz)", "CREATE TABLE gets(time, k, v)"};
-  }
-  std::vector<core::Invariant> Invariants() const override {
-    return {
-        // Soundness: every logged read returned a (key, value) some write
-        // produced. LEFT JOIN + IS NULL anti-join over the whole log.
-        {"kv-soundness",
-         "SELECT g.time, g.k, g.v FROM gets g LEFT JOIN puts p "
-         "ON g.k = p.k AND g.v = p.v WHERE p.k IS NULL",
-         /*monotone=*/false},
-        // Size audit: filter-heavy full scan.
-        {"kv-size-audit", "SELECT time, k FROM puts WHERE sz > 1000000 OR sz < 0",
-         /*monotone=*/false},
-        // Churn ceiling: aggregate-heavy GROUP BY + HAVING.
-        {"kv-churn",
-         "SELECT k, COUNT(*), MAX(time) FROM puts GROUP BY k HAVING COUNT(*) > 100000",
-         /*monotone=*/false},
-    };
-  }
-  std::vector<std::string> TrimmingQueries() const override { return {}; }
-  void Log(std::string_view request, std::string_view response, int64_t /*time*/,
-           std::vector<core::LogTuple>* out) override {
-    std::istringstream in{std::string(request)};
-    std::string op, k, v, sz;
-    in >> op;
-    if (op == "PUT" && (in >> k >> v >> sz)) {
-      out->push_back(core::LogTuple{
-          "puts", {db::Value(k), db::Value(v),
-                   db::Value(static_cast<int64_t>(std::strtoll(sz.c_str(), nullptr, 10)))}});
-    } else if (op == "GET" && (in >> k)) {
-      out->push_back(core::LogTuple{"gets", {db::Value(k), db::Value(std::string(response))}});
-    }
-  }
-};
-
-// ~20% puts, rest gets replaying previously written (key, value) pairs.
-// Every `tamper_every`-th pair (0 = never) is a get whose response no put
-// ever produced — a permanent kv-soundness violation, so both engines must
-// report the identical violating rows on every full re-check.
-std::vector<std::pair<std::string, std::string>> MakeKvTrace(int pairs, int tamper_every) {
-  std::vector<std::pair<std::string, std::string>> trace;
-  std::vector<std::pair<std::string, std::string>> written;
-  int version = 0;
-  for (int i = 0; i < pairs; ++i) {
-    if (written.empty() || i % 5 == 0) {
-      std::string k = "k" + std::to_string(i % 32);
-      std::string v = "v" + std::to_string(version++);
-      trace.emplace_back("PUT " + k + " " + v + " " + std::to_string(100 + i % 900), "OK");
-      written.emplace_back(std::move(k), std::move(v));
-    } else if (tamper_every > 0 && i % tamper_every == 0) {
-      trace.emplace_back("GET k" + std::to_string(i % 32), "evil" + std::to_string(i));
-    } else {
-      const auto& [k, v] = written[(static_cast<size_t>(i) * 7919) % written.size()];
-      trace.emplace_back("GET " + k, v);
-    }
-  }
-  return trace;
-}
-
-// Per-checkpoint full-check time as the log grows, interpreted vs
-// vectorized. Returns check-round speedup at the largest log size.
-double RunVectorizedGrowth(int rounds, int pairs_per_round) {
-  const auto trace = MakeKvTrace(rounds * pairs_per_round, 0);
-  std::vector<std::array<double, 2>> check_ms(static_cast<size_t>(rounds));
-  std::vector<size_t> rows(static_cast<size_t>(rounds));
-  for (int c = 0; c < 2; ++c) {
-    core::AuditLogOptions log_options;  // memory mode: isolate checking cost
-    log_options.counter_options.inject_latency = false;
-    core::LoggerOptions logger_options;
-    logger_options.check_interval = 0;  // checkpoints drive the checks
-    logger_options.async_checking = false;
-    logger_options.incremental_checking = false;  // full scans: the kernels' regime
-    logger_options.vectorized_checking = (c == 1);
-    core::AuditLogger logger(std::make_unique<KvModule>(), log_options, logger_options,
-                             crypto::EcdsaPrivateKey::FromSeed(ToBytes("fig6v")));
-    if (!logger.Init().ok()) {
-      return 0;
-    }
-    size_t next = 0;
-    for (int round = 0; round < rounds; ++round) {
-      for (int i = 0; i < pairs_per_round; ++i, ++next) {
-        (void)logger.OnPair(trace[next].first, trace[next].second, false);
-      }
-      int64_t t0 = NowNanos();
-      auto report = logger.CheckInvariants();
-      int64_t t1 = NowNanos();
-      if (!report.ok() || !report->clean()) {
-        std::printf("unexpected kv check failure (%s)\n", c == 0 ? "interpreted" : "vectorized");
-        return 0;
-      }
-      check_ms[static_cast<size_t>(round)][static_cast<size_t>(c)] =
-          static_cast<double>(t1 - t0) / 1e6;
-      rows[static_cast<size_t>(round)] = logger.log().database().TableSize("puts") +
-                                         logger.log().database().TableSize("gets");
-    }
-  }
-  std::printf("\n=== Vectorized engine: full check time (ms) vs log size, kv SSM ===\n");
-  std::printf("%8s %8s %12s %12s %8s\n", "round", "rows", "interpreted", "vectorized", "speedup");
-  for (int round = 0; round < rounds; ++round) {
-    const auto& ms = check_ms[static_cast<size_t>(round)];
-    std::printf("%8d %8zu %12.2f %12.2f %7.1fx\n", round + 1, rows[static_cast<size_t>(round)],
-                ms[0], ms[1], ms[1] > 0 ? ms[0] / ms[1] : 0);
-  }
-  const auto& last = check_ms.back();
-  double speedup = last[1] > 0 ? last[0] / last[1] : 0;
-  std::printf("check-round speedup at %zu rows: %.1fx (acceptance floor: 3x)\n", rows.back(),
-              speedup);
-  return speedup;
-}
-
-std::string ViolationFingerprint(const core::CheckReport& report) {
-  std::string out;
-  for (const auto& violation : report.violations) {
-    out += violation.invariant;
-    out += '[';
-    for (const db::Row& row : violation.rows.rows) {
-      for (const db::Value& value : row) {
-        out += value.Serialize();
-        out += '|';
-      }
-      out += ';';
-    }
-    out += ']';
-  }
-  return out;
-}
-
-// Replays one tampered trace through interval-driven checking with the
-// vectorized engine on and off: round count, violating rows, entry count
-// and the final serialized database must all match.
-bool RunVectorizedEquivalence(int pairs) {
-  const auto trace = MakeKvTrace(pairs, /*tamper_every=*/17);
-  size_t rounds[2] = {0, 0};
-  std::string violations[2];
-  size_t entries[2] = {0, 0};
-  Bytes db_bytes[2];
-  for (int c = 0; c < 2; ++c) {
-    core::AuditLogOptions log_options;
-    log_options.counter_options.inject_latency = false;
-    core::LoggerOptions logger_options;
-    logger_options.check_interval = 25;
-    logger_options.async_checking = false;
-    logger_options.incremental_checking = false;
-    logger_options.vectorized_checking = (c == 1);
-    logger_options.on_report = [&, c](const core::CheckReport& report) {
-      ++rounds[c];
-      violations[c] += ViolationFingerprint(report);
-    };
-    core::AuditLogger logger(std::make_unique<KvModule>(), log_options, logger_options,
-                             crypto::EcdsaPrivateKey::FromSeed(ToBytes("fig6w")));
-    if (!logger.Init().ok()) {
-      return false;
-    }
-    for (const auto& [request, response] : trace) {
-      (void)logger.OnPair(request, response, false);
-    }
-    entries[c] = logger.log().entry_count();
-    db_bytes[c] = logger.log().database().Serialize();
-  }
-  bool identical = rounds[0] == rounds[1] && violations[0] == violations[1] &&
-                   entries[0] == entries[1] && db_bytes[0] == db_bytes[1] &&
-                   !violations[0].empty();
-  std::printf("\n=== Vectorized result equivalence, %d-pair tampered trace ===\n", pairs);
-  std::printf("rounds %zu/%zu, violations %s, entries %zu/%zu, db %s -> %s\n", rounds[0],
-              rounds[1], violations[0] == violations[1] ? "match" : "MISMATCH", entries[0],
-              entries[1], db_bytes[0] == db_bytes[1] ? "match" : "MISMATCH",
-              identical ? "IDENTICAL" : "DIVERGED");
-  return identical;
-}
-
-// Same comparison across the cross-shard merged check: two shard sets fed
-// identical traffic, CheckCrossShard with the flag on vs off.
-bool RunVectorizedCrossShardEquivalence(int pairs) {
-  const auto trace = MakeKvTrace(pairs, /*tamper_every=*/13);
-  std::string violations[2];
-  size_t entries[2] = {0, 0};
-  for (int c = 0; c < 2; ++c) {
-    core::ShardSetOptions options;
-    options.shards = 2;
-    options.libseal.enclave.inject_costs = false;
-    options.libseal.use_async_calls = false;
-    options.libseal.logger.check_interval = 0;
-    options.libseal.logger.vectorized_checking = (c == 1);
-    options.libseal.audit_log.counter_options.inject_latency = false;
-    options.epoch_counter.inject_latency = false;
-    core::ShardSet set(options, [] { return std::make_unique<KvModule>(); });
-    if (!set.Init().ok()) {
-      return false;
-    }
-    uint64_t conn = 0;
-    for (const auto& [request, response] : trace) {
-      (void)set.OnPair(conn++, request, response, false);
-    }
-    if (!set.AnchorEpoch().ok()) {
-      return false;
-    }
-    auto cross = set.CheckCrossShard();
-    if (!cross.ok()) {
-      return false;
-    }
-    violations[c] = ViolationFingerprint(cross->report);
-    entries[c] = cross->merged_entries;
-    set.Shutdown();
-  }
-  bool identical =
-      violations[0] == violations[1] && entries[0] == entries[1] && !violations[0].empty();
-  std::printf("cross-shard: violations %s, merged entries %zu/%zu -> %s\n",
-              violations[0] == violations[1] ? "match" : "MISMATCH", entries[0], entries[1],
-              identical ? "IDENTICAL" : "DIVERGED");
-  return identical;
 }
 
 // --- Async checking: append-stall p99 and result equivalence --------------
@@ -664,11 +433,6 @@ int main(int argc, char** argv) {
     RunLogGrowth();
   }
 
-  // --- vectorized columnar engine vs the interpreter ---
-  double vec_speedup = RunVectorizedGrowth(quick ? 6 : 10, quick ? 250 : 500);
-  bool vec_identical = RunVectorizedEquivalence(quick ? 150 : 300);
-  bool vec_crossshard_identical = RunVectorizedCrossShardEquivalence(quick ? 120 : 240);
-
   // --- off-critical-path checking: p99 append stall, sync vs async ---
   constexpr int kStallThreads = 4;
   std::printf("\n=== OnPair latency under checking, %d appender threads, interval 25 ===\n",
@@ -711,9 +475,6 @@ int main(int argc, char** argv) {
                  "  \"pairs_per_sec_async\": [%.1f, %.1f, %.1f],\n"
                  "  \"p99_stall_improvement\": %.2f,\n"
                  "  \"results_identical\": %s,\n"
-                 "  \"vectorized_check_speedup\": %.2f,\n"
-                 "  \"vectorized_results_identical\": %s,\n"
-                 "  \"vectorized_crossshard_identical\": %s,\n"
                  "  \"quick\": %s\n"
                  "}\n",
                  kStallThreads, sync_stall.p99_ns, sync_stall.p50_ns, async_stall[0].p99_ns,
@@ -721,14 +482,11 @@ int main(int argc, char** argv) {
                  async_stall[1].p50_ns, async_stall[2].p50_ns, sync_stall.pairs_per_sec,
                  async_stall[0].pairs_per_sec, async_stall[1].pairs_per_sec,
                  async_stall[2].pairs_per_sec, p99_improvement,
-                 identical ? "true" : "false", vec_speedup,
-                 vec_identical ? "true" : "false",
-                 vec_crossshard_identical ? "true" : "false", quick ? "true" : "false");
+                 identical ? "true" : "false", quick ? "true" : "false");
     std::fclose(f);
     std::printf("\nwrote %s\n", out_path.c_str());
   }
 
   PrintMetricsSnapshot("bench_fig6_checking (cumulative)");
-  return (identical && vec_identical && vec_crossshard_identical && p99_improvement >= 5.0) ? 0
-                                                                                           : 1;
+  return (identical && p99_improvement >= 5.0) ? 0 : 1;
 }

@@ -35,11 +35,6 @@ AuditLogger::~AuditLogger() {
 }
 
 Status AuditLogger::Init() {
-  {
-    db::Tuning tuning = log_.database().tuning();
-    tuning.use_vectorized = options_.vectorized_checking;
-    log_.database().set_tuning(tuning);
-  }
   SEAL_RETURN_IF_ERROR(log_.ExecuteSchema(module_->Schema()));
   SEAL_RETURN_IF_ERROR(log_.ExecuteSchema(module_->Views()));
   std::lock_guard<std::mutex> lock(drain_mutex_);

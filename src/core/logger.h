@@ -72,10 +72,6 @@ struct LoggerOptions {
   // hardware_concurrency at Start (oversubscribing check workers degrades
   // round latency rather than improving it).
   size_t check_parallelism = 1;
-  // Route invariant SELECTs through the batch-at-a-time columnar engine
-  // (db::Tuning::use_vectorized). Off = legacy row-at-a-time interpreter;
-  // results are byte-identical either way.
-  bool vectorized_checking = true;
   // When set, checker-thread CPU time is charged as in-enclave execution.
   sgx::Enclave* enclave = nullptr;
   // Observer invoked once per completed check round (any trigger), from

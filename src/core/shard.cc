@@ -353,13 +353,6 @@ Result<CrossShardReport> ShardSet::CheckCrossShard() {
   }
   out.merged_entries = merged->total_entries;
   out.merge_nanos = NowNanos() - t1;
-  {
-    // The merged database is freshly built; honour the same engine choice
-    // as the per-shard check rounds.
-    db::Tuning tuning = merged->database.tuning();
-    tuning.use_vectorized = options_.libseal.logger.vectorized_checking;
-    merged->database.set_tuning(tuning);
-  }
 
   // Evaluate the SSM's invariants against a pinned snapshot of the merged
   // database, in parallel (Database::ExecuteSnapshot is a const read).

@@ -191,14 +191,6 @@ void Database::RemapTimeIndexAfterDelete(TableData& table, const std::vector<boo
   }
 }
 
-void Database::RebuildColumns(TableData& table) {
-  table.cols.Reset(table.columns.size());
-  const size_t n = table.rows.size();
-  for (size_t i = 0; i < n; ++i) {
-    table.cols.Append(table.rows[i]);
-  }
-}
-
 void Database::RebuildTimeIndex(TableData& table) {
   table.index_valid = table.time_col >= 0;
   table.time_index.clear();
@@ -249,7 +241,6 @@ Result<QueryResult> Database::Execute(std::string_view sql) {
     }
     TableData& table = tables_[create->name];
     table.columns = create->columns;
-    table.cols.Reset(table.columns.size());
     InitTimeIndex(table);
     BumpSchemaEpoch();
     return QueryResult{};
@@ -302,7 +293,6 @@ Result<QueryResult> Database::Execute(std::string_view sql) {
         }
         row[positions[i]] = std::move(*v);
       }
-      table.cols.Append(row);
       table.rows.push_back(std::move(row));
       IndexInsertedRow(table, table.rows.size() - 1);
       ++result.affected;
@@ -320,7 +310,6 @@ Result<QueryResult> Database::Execute(std::string_view sql) {
     if (del->where == nullptr) {
       result.affected = table.rows.size();
       table.rows.clear();
-      table.cols.Reset(table.columns.size());
       RebuildTimeIndex(table);
       if (result.affected > 0) {
         BumpTrimEpoch();
@@ -358,7 +347,6 @@ Result<QueryResult> Database::Execute(std::string_view sql) {
     if (result.affected > 0) {
       table.rows.Assign(std::move(kept));
       RemapTimeIndexAfterDelete(table, doomed);  // row positions shifted
-      RebuildColumns(table);
       BumpTrimEpoch();
     }
     return result;
@@ -416,7 +404,6 @@ Result<QueryResult> Database::Execute(std::string_view sql) {
     }
     if (result.affected > 0) {
       table.rows.Assign(std::move(updated));
-      RebuildColumns(table);
       BumpTrimEpoch();
       if (touched_time) {
         RebuildTimeIndex(table);
@@ -446,7 +433,6 @@ Status Database::CreateTable(const std::string& name, std::vector<std::string> c
   }
   TableData& table = tables_[name];
   table.columns = std::move(columns);
-  table.cols.Reset(table.columns.size());
   InitTimeIndex(table);
   BumpSchemaEpoch();
   return Status::Ok();
@@ -460,7 +446,6 @@ Status Database::InsertRow(const std::string& name, Row row) {
   if (row.size() != it->second.columns.size()) {
     return InvalidArgument("row arity mismatch for table " + name);
   }
-  it->second.cols.Append(row);
   it->second.rows.push_back(std::move(row));
   IndexInsertedRow(it->second, it->second.rows.size() - 1);
   return Status::Ok();
@@ -593,7 +578,6 @@ Snapshot Database::CaptureSnapshot() const {
   for (const auto& [name, table] : tables_) {
     TableSnapshot ts;
     ts.view = table.rows.Snapshot();
-    ts.col_view = table.cols.Snapshot();
     ts.time_col = table.time_col;
     ts.time_sorted = table.rows_time_ordered && table.time_col >= 0;
     snap.tables.emplace(name, std::move(ts));
@@ -617,7 +601,6 @@ Result<PreparedSelect> Database::Prepare(std::string_view sql, bool with_time_fl
     plan.floor_slot_ = InjectTimeFloorConjunct(*plan.stmt_);
   }
   plan.schema_epoch_ = schema_epoch();
-  plan.trim_epoch_ = trim_epoch();
   return plan;
 }
 
@@ -654,8 +637,7 @@ Result<QueryResult> PlanCache::Execute(const Database& db, const std::string& sq
   {
     std::lock_guard<std::mutex> lock(mutex_);
     auto it = plans_.find({sql, floored});
-    if (it != plans_.end() && it->second->schema_epoch_ == db.schema_epoch() &&
-        it->second->trim_epoch_ == db.trim_epoch()) {
+    if (it != plans_.end() && it->second->schema_epoch_ == db.schema_epoch()) {
       plan = it->second;
       SEAL_OBS_COUNTER("db_plan_cache_hits_total").Increment();
     }
@@ -749,7 +731,6 @@ Result<Database> Database::Deserialize(BytesView in) {
     }
     InitTimeIndex(table);
     RebuildTimeIndex(table);
-    RebuildColumns(table);
     db.tables_[name] = std::move(table);
   }
   if (off + 4 > in.size()) {

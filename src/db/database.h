@@ -18,7 +18,6 @@
 #include "src/common/bytes.h"
 #include "src/common/status.h"
 #include "src/db/ast.h"
-#include "src/db/column_store.h"
 #include "src/db/row_store.h"
 #include "src/db/value.h"
 
@@ -38,10 +37,6 @@ struct QueryResult {
 struct Tuning {
   bool use_time_index = true;  // index scans + ORDER BY/MAX fast paths
   bool use_hash_join = true;   // hash joins for equi-join keys
-  // Batch-at-a-time columnar kernels (vector_exec.cc) for uncorrelated
-  // SELECTs in the supported shape subset; unsupported shapes fall back to
-  // the interpreter. Results are byte-identical either way.
-  bool use_vectorized = true;
 };
 
 // A logical snapshot of one table: a pinned prefix of its row store plus
@@ -49,9 +44,6 @@ struct Tuning {
 // (concurrently mutated) index state.
 struct TableSnapshot {
   RowStore::View view;
-  // The same prefix transposed column-major (always view.size() rows: the
-  // row and column stores are mutated in lockstep under the writer lock).
-  ColumnStore::View col_view;
   int time_col = -1;
   // Rows ascending by integer time (the sequencer drains in ticket order,
   // so this is the steady state). Enables binary-search TimeBound
@@ -91,7 +83,6 @@ class PreparedSelect {
   std::shared_ptr<SelectStmt> stmt_;
   Expr* floor_slot_ = nullptr;  // literal of the injected conjunct, owned by stmt_
   uint64_t schema_epoch_ = 0;
-  uint64_t trim_epoch_ = 0;
 };
 
 class Database {
@@ -141,7 +132,8 @@ class Database {
   }
 
   // Bumped on CREATE/DROP (schema) and on any DELETE/UPDATE that changed
-  // rows (trim). Relaxed atomics: used for plan/watermark invalidation.
+  // rows (trim). Relaxed atomics: the schema epoch invalidates plans; both
+  // invalidate snapshots and checker watermarks.
   uint64_t schema_epoch() const { return schema_epoch_.load(std::memory_order_relaxed); }
   uint64_t trim_epoch() const { return trim_epoch_.load(std::memory_order_relaxed); }
 
@@ -194,15 +186,10 @@ class Database {
 
  private:
   friend class Executor;
-  friend class VecAnalyzer;  // vector_exec.cc: plan/scan analysis
 
   struct TableData {
     std::vector<std::string> columns;
     RowStore rows;
-    // Column-major shadow of `rows`, mutated in lockstep (appends on
-    // INSERT, rebuilt on DELETE/UPDATE compaction). The vectorized engine
-    // reads it; the interpreter never touches it.
-    ColumnStore cols;
     // Primary-key index on the `time` column: (time, row position), sorted.
     // Valid only while every row's time value is a non-null integer;
     // maintained on INSERT, remapped incrementally after DELETE compaction
@@ -230,9 +217,6 @@ class Database {
   // rebuild when the index was already invalid. `doomed` is the pre-delete
   // per-row deletion mask.
   static void RemapTimeIndexAfterDelete(TableData& table, const std::vector<bool>& doomed);
-  // Rebuilds the columnar shadow from the row store (DELETE/UPDATE
-  // compaction and deserialisation; appends use ColumnStore::Append).
-  static void RebuildColumns(TableData& table);
 
   // AND-injects `<base>.time > 0` into `s` when its base source exposes a
   // `time` column; returns the literal Expr to rebind, or nullptr.
@@ -248,14 +232,16 @@ class Database {
   std::atomic<uint64_t> trim_epoch_{0};
 };
 
-// A keyed cache of PreparedSelect plans, invalidated by epoch change.
+// A keyed cache of PreparedSelect plans, invalidated by schema change. A
+// plan holds only the parsed AST and its floor slot, neither of which
+// depends on table contents, so trims leave cached plans valid.
 // Lookup is mutex-guarded (cheap: one map probe per invariant per round);
 // execution happens outside the lock. A given (sql, floored) plan must not
 // be executed by two threads at once — check rounds are serialised, and
 // parallel workers within a round evaluate distinct invariants.
 class PlanCache {
  public:
-  // Looks up (preparing/refreshing on miss or epoch staleness) and
+  // Looks up (preparing/refreshing on miss or schema staleness) and
   // executes. `floor` selects the floored plan variant; `snapshot` routes
   // execution to pinned views.
   Result<QueryResult> Execute(const Database& db, const std::string& sql,

@@ -5,23 +5,166 @@
 #include <limits>
 #include <map>
 #include <set>
+#include <string_view>
 #include <unordered_map>
 
-#include "src/db/exec_internal.h"
 #include "src/obs/obs.h"
 
 namespace seal::db {
 
-using exec_internal::Arith;
-using exec_internal::CompareOp;
-using exec_internal::IsAggregateName;
-using exec_internal::JoinKeyOf;
-using exec_internal::LikeMatch;
-using exec_internal::NameEq;
-using exec_internal::SerializeRow;
-using exec_internal::SplitAnd;
-
 namespace {
+
+bool NameEq(std::string_view a, std::string_view b) {
+  if (a.size() != b.size()) {
+    return false;
+  }
+  for (size_t i = 0; i < a.size(); ++i) {
+    if (std::tolower(static_cast<unsigned char>(a[i])) !=
+        std::tolower(static_cast<unsigned char>(b[i]))) {
+      return false;
+    }
+  }
+  return true;
+}
+
+bool IsAggregateName(const std::string& name) {
+  return name == "COUNT" || name == "MAX" || name == "MIN" || name == "SUM" || name == "AVG";
+}
+
+std::string SerializeRow(const Row& row) {
+  std::string s;
+  for (const Value& v : row) {
+    s += v.Serialize();
+    s.push_back('|');
+  }
+  return s;
+}
+
+// SQL LIKE with % and _ wildcards (case-insensitive, SQLite default).
+bool LikeMatch(std::string_view text, std::string_view pattern) {
+  // Simple backtracking matcher.
+  size_t ti = 0;
+  size_t pi = 0;
+  size_t star_ti = std::string_view::npos;
+  size_t star_pi = std::string_view::npos;
+  auto lc = [](char c) { return std::tolower(static_cast<unsigned char>(c)); };
+  while (ti < text.size()) {
+    if (pi < pattern.size() &&
+        (pattern[pi] == '_' || lc(pattern[pi]) == lc(text[ti]))) {
+      ++ti;
+      ++pi;
+    } else if (pi < pattern.size() && pattern[pi] == '%') {
+      star_pi = pi++;
+      star_ti = ti;
+    } else if (star_pi != std::string_view::npos) {
+      pi = star_pi + 1;
+      ti = ++star_ti;
+    } else {
+      return false;
+    }
+  }
+  while (pi < pattern.size() && pattern[pi] == '%') {
+    ++pi;
+  }
+  return pi == pattern.size();
+}
+
+Value CompareOp(const std::string& op, const Value& a, const Value& b) {
+  if (a.is_null() || b.is_null()) {
+    return Value::Null();
+  }
+  int c = Value::Compare(a, b);
+  bool r = false;
+  if (op == "=") {
+    r = c == 0;
+  } else if (op == "!=") {
+    r = c != 0;
+  } else if (op == "<") {
+    r = c < 0;
+  } else if (op == "<=") {
+    r = c <= 0;
+  } else if (op == ">") {
+    r = c > 0;
+  } else if (op == ">=") {
+    r = c >= 0;
+  }
+  return Value(static_cast<int64_t>(r ? 1 : 0));
+}
+
+Value Arith(const std::string& op, const Value& a, const Value& b) {
+  if (a.is_null() || b.is_null()) {
+    return Value::Null();
+  }
+  if (op == "||") {
+    return Value(a.AsText() + b.AsText());
+  }
+  bool ints = a.is_int() && b.is_int();
+  if (ints) {
+    int64_t x = a.AsInt();
+    int64_t y = b.AsInt();
+    if (op == "+") {
+      return Value(x + y);
+    }
+    if (op == "-") {
+      return Value(x - y);
+    }
+    if (op == "*") {
+      return Value(x * y);
+    }
+    if (op == "/") {
+      return y == 0 ? Value::Null() : Value(x / y);
+    }
+    if (op == "%") {
+      return y == 0 ? Value::Null() : Value(x % y);
+    }
+  } else {
+    double x = a.AsReal();
+    double y = b.AsReal();
+    if (op == "+") {
+      return Value(x + y);
+    }
+    if (op == "-") {
+      return Value(x - y);
+    }
+    if (op == "*") {
+      return Value(x * y);
+    }
+    if (op == "/") {
+      return y == 0.0 ? Value::Null() : Value(x / y);
+    }
+    if (op == "%") {
+      return Value::Null();
+    }
+  }
+  return Value::Null();
+}
+
+// Hash/join key for one value, normalised so that any two non-null values
+// with Value::Compare == 0 produce identical keys: integers and reals live
+// in one numeric class, so an integral-valued real maps to the integer form.
+std::string JoinKeyOf(const Value& v) {
+  if (v.is_real()) {
+    double d = v.AsReal();
+    if (d >= -9223372036854775808.0 && d < 9223372036854775808.0) {
+      int64_t i = static_cast<int64_t>(d);
+      if (static_cast<double>(i) == d) {
+        return "I" + std::to_string(i);
+      }
+    }
+  }
+  return v.Serialize();
+}
+
+// Flattens a predicate tree into its top-level AND conjuncts, in
+// left-to-right evaluation order.
+void SplitAnd(const Expr* e, std::vector<const Expr*>* out) {
+  if (e->kind == ExprKind::kBinary && e->op == "AND") {
+    SplitAnd(e->args[0].get(), out);
+    SplitAnd(e->args[1].get(), out);
+    return;
+  }
+  out->push_back(e);
+}
 
 // True when evaluating `e` cannot touch any relation of the current
 // statement (whose sources' aliases are `local_aliases`): it only reads
@@ -966,11 +1109,6 @@ Result<QueryResult> Executor::ExecuteSelect(const SelectStmt& stmt,
   if (bound == nullptr) {
     if (auto fast = TryIndexedFastPath(stmt, outer)) {
       return std::move(*fast);
-    }
-    if (outer.empty() && db_.tuning_.use_vectorized) {
-      if (auto vec = TryVectorized(stmt)) {
-        return std::move(*vec);
-      }
     }
   }
 

@@ -117,14 +117,6 @@ class Executor {
   std::optional<Result<QueryResult>> TryIndexedFastPath(const SelectStmt& stmt,
                                                         const std::vector<RowScope>& outer);
 
-  // Vectorized columnar execution (vector_exec.cc): batch-at-a-time
-  // filter/join/aggregate kernels over ColumnStore views. Returns nullopt
-  // when the statement's shape is outside the supported subset (recorded in
-  // db_vector_fallback_total); otherwise the result is byte-identical to
-  // the interpreter. Only attempted for uncorrelated top-level statements
-  // (no outer scopes, no caller-imposed bound).
-  std::optional<Result<QueryResult>> TryVectorized(const SelectStmt& stmt);
-
   const Database& db_;
   const Snapshot* snap_ = nullptr;
 };

@@ -41,6 +41,20 @@ Result<std::optional<CheckReport>> PumpPush(AuditLogger& logger, services::GitBa
   return logger.OnPair(conn, req.Serialize(), rsp.Serialize(), force);
 }
 
+uint64_t CoalescedCount() {
+  return obs::Registry::Global().TakeSnapshot().counter("logger_forced_coalesced_total");
+}
+
+// Waits until `n` forced pairs have attached to the pending round since the
+// counter read `base`. pairs_logged() is not enough: a pair counts as logged
+// before it attaches, so un-pausing on that signal can start the round
+// while the last pair is still on its way to it.
+void WaitForCoalesced(uint64_t base, uint64_t n) {
+  while (CoalescedCount() - base < n) {
+    std::this_thread::yield();
+  }
+}
+
 TEST(Checker, ForcedCheckRendezvousReportContents) {
   auto logger = MakeLogger({.check_interval = 0});
   services::GitBackend backend;
@@ -73,6 +87,7 @@ TEST(Checker, ConcurrentForcedChecksCoalesceIntoOneRound) {
   // round is still pending.
   engine->PauseForTesting(true);
   constexpr int kThreads = 4;
+  const uint64_t coalesced_base = CoalescedCount();
   std::atomic<int> reports{0};
   std::atomic<int> failures{0};
   std::vector<std::thread> threads;
@@ -88,10 +103,8 @@ TEST(Checker, ConcurrentForcedChecksCoalesceIntoOneRound) {
     });
   }
   // All pairs must drain (the sequencer never blocks on the paused round)
-  // before we let the round run.
-  while (logger->pairs_logged() < kThreads) {
-    std::this_thread::yield();
-  }
+  // and join the pending round before we let the round run.
+  WaitForCoalesced(coalesced_base, kThreads - 1);
   engine->PauseForTesting(false);
   for (auto& th : threads) th.join();
 
@@ -113,6 +126,7 @@ TEST(Checker, CoalescedForcedChecksChargeTheBudgetOnce) {
   engine->PauseForTesting(true);
 
   constexpr int kThreads = 3;
+  const uint64_t coalesced_base = CoalescedCount();
   std::atomic<int> reports{0};
   std::vector<std::thread> threads;
   for (int t = 0; t < kThreads; ++t) {
@@ -124,9 +138,7 @@ TEST(Checker, CoalescedForcedChecksChargeTheBudgetOnce) {
       }
     });
   }
-  while (logger->pairs_logged() < kThreads) {
-    std::this_thread::yield();
-  }
+  WaitForCoalesced(coalesced_base, kThreads - 1);
   engine->PauseForTesting(false);
   for (auto& th : threads) th.join();
 

@@ -130,6 +130,72 @@ TEST(TimeIndex, SurvivesSerialisationRoundTrip) {
   EXPECT_EQ((*index)[1].first, 4);
 }
 
+// --- Incremental time-index maintenance after trims ------------------------
+
+// Runs `sql` on `db` with the time index and hash joins on, then off, and
+// expects byte-identical results: after a trim the indexed path reads the
+// remapped index, the plain path never touches it.
+void ExpectTuningsAgree(Database& db, const std::string& sql) {
+  db.set_tuning(db::Tuning{});
+  auto fast = db.Execute(sql);
+  db.set_tuning({.use_time_index = false, .use_hash_join = false});
+  auto plain = db.Execute(sql);
+  db.set_tuning(db::Tuning{});
+  ASSERT_TRUE(fast.ok()) << sql << ": " << fast.status().ToString();
+  ASSERT_TRUE(plain.ok()) << sql << ": " << plain.status().ToString();
+  EXPECT_EQ(Fingerprint(*fast), Fingerprint(*plain)) << sql;
+}
+
+// The index after a DELETE-with-WHERE must equal the index of a database
+// built from scratch with only the surviving rows.
+TEST(TimeIndexAfterTrim, RemappedIndexEqualsRebuiltIndex) {
+  Database db;
+  Exec(db, "CREATE TABLE updates(time, repo)");
+  for (int i = 1; i <= 30; ++i) {
+    Exec(db, "INSERT INTO updates VALUES (" + std::to_string(i) + ", 'r" +
+                 std::to_string(i % 3) + "')");
+  }
+  // Trim a non-prefix subset (WHERE on a non-time column) so surviving
+  // rows compact to new positions.
+  Exec(db, "DELETE FROM updates WHERE repo = 'r1'");
+
+  Database fresh;
+  Exec(fresh, "CREATE TABLE updates(time, repo)");
+  for (int i = 1; i <= 30; ++i) {
+    if (i % 3 == 1) {
+      continue;
+    }
+    Exec(fresh, "INSERT INTO updates VALUES (" + std::to_string(i) + ", 'r" +
+                    std::to_string(i % 3) + "')");
+  }
+  const auto* remapped = db.TimeIndexForTesting("updates");
+  const auto* rebuilt = fresh.TimeIndexForTesting("updates");
+  ASSERT_NE(remapped, nullptr);
+  ASSERT_NE(rebuilt, nullptr);
+  EXPECT_EQ(*remapped, *rebuilt);
+
+  // And index-narrowed queries agree with full scans post-trim.
+  ExpectTuningsAgree(db, "SELECT time, repo FROM updates WHERE time > 10");
+  ExpectTuningsAgree(db, "SELECT COUNT(*) FROM updates WHERE time > 10 AND time <= 25");
+}
+
+TEST(TimeIndexAfterTrim, PrefixTrimKeepsIndexValid) {
+  Database db;
+  Exec(db, "CREATE TABLE updates(time, v)");
+  for (int i = 1; i <= 20; ++i) {
+    Exec(db, "INSERT INTO updates VALUES (" + std::to_string(i) + ", " + std::to_string(i) + ")");
+  }
+  Exec(db, "DELETE FROM updates WHERE time <= 12");
+  const auto* index = db.TimeIndexForTesting("updates");
+  ASSERT_NE(index, nullptr);
+  ASSERT_EQ(index->size(), 8u);
+  for (size_t i = 0; i < index->size(); ++i) {
+    EXPECT_EQ((*index)[i].first, static_cast<int64_t>(13 + i));
+    EXPECT_EQ((*index)[i].second, i);
+  }
+  ExpectTuningsAgree(db, "SELECT v FROM updates WHERE time > 15 ORDER BY time");
+}
+
 // --- Indexed scans and fast paths vs the unindexed engine ------------------
 
 class TunedPairTest : public ::testing::Test {

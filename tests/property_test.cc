@@ -146,7 +146,8 @@ TEST_P(SqlMetamorphic, PartitionAndAggregationLaws) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, SqlMetamorphic, ::testing::Range(uint64_t{1}, uint64_t{13}));
 
-// --- vectorized vs interpreted engine: byte-identical SELECT results ---
+// --- indexed/hash-join fast paths vs the plain nested-loop interpreter:
+// byte-identical SELECT results ---
 
 std::string ResultFingerprint(const db::QueryResult& r) {
   std::string out;
@@ -167,24 +168,20 @@ std::string ResultFingerprint(const db::QueryResult& r) {
 
 void ExpectEnginesAgree(db::Database& db, const std::string& sql,
                         const db::Snapshot* snap = nullptr) {
-  db::Tuning t = db.tuning();
-  t.use_vectorized = true;
-  db.set_tuning(t);
-  auto vec = snap ? db.ExecuteSnapshot(sql, *snap) : db.Execute(sql);
-  t.use_vectorized = false;
-  db.set_tuning(t);
-  auto interp = snap ? db.ExecuteSnapshot(sql, *snap) : db.Execute(sql);
-  t.use_vectorized = true;
-  db.set_tuning(t);
-  ASSERT_EQ(vec.ok(), interp.ok()) << sql;
-  if (vec.ok()) {
-    EXPECT_EQ(ResultFingerprint(*vec), ResultFingerprint(*interp)) << sql;
+  db.set_tuning(db::Tuning{});
+  auto fast = snap ? db.ExecuteSnapshot(sql, *snap) : db.Execute(sql);
+  db.set_tuning({.use_time_index = false, .use_hash_join = false});
+  auto plain = snap ? db.ExecuteSnapshot(sql, *snap) : db.Execute(sql);
+  db.set_tuning(db::Tuning{});
+  ASSERT_EQ(fast.ok(), plain.ok()) << sql;
+  if (fast.ok()) {
+    EXPECT_EQ(ResultFingerprint(*fast), ResultFingerprint(*plain)) << sql;
   }
 }
 
-class VectorizedDifferential : public ::testing::TestWithParam<uint64_t> {};
+class EngineDifferential : public ::testing::TestWithParam<uint64_t> {};
 
-TEST_P(VectorizedDifferential, RandomSelectsByteIdenticalAcrossEngines) {
+TEST_P(EngineDifferential, RandomSelectsByteIdenticalAcrossEngines) {
   uint64_t seed = GetParam();
   SplitMix64 rng(seed);
   db::Database db;
@@ -211,11 +208,10 @@ TEST_P(VectorizedDifferential, RandomSelectsByteIdenticalAcrossEngines) {
         s = "NULL";
         break;
       case 1:
-        // Long enough to land in the column store's text dictionary.
         s = "'prefix-shared-long-string-" + std::to_string(rng.Range(0, 3)) + "'";
         break;
       default:
-        s = "'s" + std::to_string(rng.Range(0, 6)) + "'";  // inline-width
+        s = "'s" + std::to_string(rng.Range(0, 6)) + "'";
     }
     ASSERT_TRUE(db.Execute("INSERT INTO t1 VALUES (" + std::to_string(i + 1) + ", " +
                            std::to_string(rng.Range(0, 5)) + ", " + b + ", " + s + ")")
@@ -263,7 +259,7 @@ TEST_P(VectorizedDifferential, RandomSelectsByteIdenticalAcrossEngines) {
     ExpectEnginesAgree(db, sql);
   }
 
-  // Snapshot execution (pinned columnar views) must agree too.
+  // Snapshot execution (pinned row prefixes) must agree too.
   const db::Snapshot snap = db.CaptureSnapshot();
   ExpectEnginesAgree(db, "SELECT a, b, s FROM t1 WHERE b >= 0", &snap);
   ExpectEnginesAgree(db, "SELECT a, COUNT(*) FROM t1 GROUP BY a", &snap);
@@ -277,7 +273,7 @@ TEST_P(VectorizedDifferential, RandomSelectsByteIdenticalAcrossEngines) {
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(Seeds, VectorizedDifferential,
+INSTANTIATE_TEST_SUITE_P(Seeds, EngineDifferential,
                          ::testing::Range(uint64_t{1}, uint64_t{17}));
 
 // --- hash chain: a flip at EVERY byte offset of the persisted log trips
