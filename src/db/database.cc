@@ -326,8 +326,9 @@ Result<QueryResult> Database::Execute(std::string_view sql) {
     // reference the live rows through a view.
     rel.SetRows(RowsRef(table.rows.Snapshot()));
     std::vector<bool> doomed(table.rows.size(), false);
+    std::vector<RowScope> scopes = {RowScope{&rel, nullptr}};
     for (size_t i = 0; i < rel.Rows().size(); ++i) {
-      std::vector<RowScope> scopes = {RowScope{&rel, &rel.Rows()[i]}};
+      scopes.back().row = &rel.Rows()[i];
       auto cond = executor.Eval(*del->where, scopes);
       if (!cond.ok()) {
         return cond.status();
@@ -376,8 +377,9 @@ Result<QueryResult> Database::Execute(std::string_view sql) {
     // concurrent snapshot readers never observe a half-updated table.
     std::vector<Row> updated = table.rows.CopyRows();
     QueryResult result;
+    std::vector<RowScope> scopes = {RowScope{&rel, nullptr}};
     for (size_t i = 0; i < updated.size(); ++i) {
-      std::vector<RowScope> scopes = {RowScope{&rel, &rel.Rows()[i]}};
+      scopes.back().row = &rel.Rows()[i];
       if (update->where != nullptr) {
         auto cond = executor.Eval(*update->where, scopes);
         if (!cond.ok()) {
@@ -484,22 +486,7 @@ std::optional<std::vector<std::string>> Database::CatalogColumns(const std::stri
   if (vit == views_.end()) {
     return std::nullopt;
   }
-  // Derive the view's output names the same way the executor does, bailing
-  // on stars (they need the source relations to expand).
-  std::vector<std::string> columns;
-  for (const SelectItem& item : vit->second.select->items) {
-    if (item.star) {
-      return std::nullopt;
-    }
-    if (!item.alias.empty()) {
-      columns.push_back(item.alias);
-    } else if (item.expr->kind == ExprKind::kColumn) {
-      columns.push_back(item.expr->name);
-    } else {
-      columns.push_back(ExprToString(*item.expr));
-    }
-  }
-  return columns;
+  return OutputColumnNames(*vit->second.select);
 }
 
 const std::vector<std::pair<int64_t, size_t>>* Database::TimeIndexForTesting(

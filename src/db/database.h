@@ -33,10 +33,15 @@ struct QueryResult {
 };
 
 // Executor knobs, settable per database. All default on; benchmarks flip
-// them off to compare against the unindexed nested-loop engine.
+// them off to compare against the unindexed nested-loop engine, which also
+// evaluates every subquery once per outer row.
 struct Tuning {
-  bool use_time_index = true;  // index scans + ORDER BY/MAX fast paths
-  bool use_hash_join = true;   // hash joins for equi-join keys
+  // Index range scans, the ORDER BY time DESC LIMIT / MAX(time) fast paths,
+  // and the subquery rewrites: as-of lookups for "latest row before"
+  // scalar subqueries and one evaluation per statement for uncorrelated
+  // subqueries (DESIGN.md §3b).
+  bool use_time_index = true;
+  bool use_hash_join = true;  // hash joins for equi-join keys
 };
 
 // A logical snapshot of one table: a pinned prefix of its row store plus

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cctype>
+#include <charconv>
+#include <cmath>
 #include <limits>
 #include <map>
 #include <set>
@@ -29,6 +31,10 @@ bool NameEq(std::string_view a, std::string_view b) {
 
 bool IsAggregateName(const std::string& name) {
   return name == "COUNT" || name == "MAX" || name == "MIN" || name == "SUM" || name == "AVG";
+}
+
+bool IsScalarFunctionName(const std::string& name) {
+  return name == "LENGTH" || name == "ABS" || name == "SUBSTR" || name == "COALESCE";
 }
 
 std::string SerializeRow(const Row& row) {
@@ -139,20 +145,36 @@ Value Arith(const std::string& op, const Value& a, const Value& b) {
   return Value::Null();
 }
 
-// Hash/join key for one value, normalised so that any two non-null values
-// with Value::Compare == 0 produce identical keys: integers and reals live
-// in one numeric class, so an integral-valued real maps to the integer form.
-std::string JoinKeyOf(const Value& v) {
+// Appends the hash/join key of one value (plus a separator) to `key`,
+// normalised so that any two non-null values with Value::Compare == 0
+// produce identical keys: integers and reals live in one numeric class, so
+// an integral-valued real maps to the integer form. Integers and text are
+// written without temporaries; the key is rebuilt per probe row.
+void AppendJoinKey(const Value& v, std::string* key) {
+  auto append_int = [key](char tag, int64_t i) {
+    char digits[24];
+    auto end = std::to_chars(digits, digits + sizeof(digits), i).ptr;
+    key->push_back(tag);
+    key->append(digits, end);
+  };
   if (v.is_real()) {
     double d = v.AsReal();
-    if (d >= -9223372036854775808.0 && d < 9223372036854775808.0) {
-      int64_t i = static_cast<int64_t>(d);
-      if (static_cast<double>(i) == d) {
-        return "I" + std::to_string(i);
-      }
+    if (d >= -9223372036854775808.0 && d < 9223372036854775808.0 &&
+        static_cast<double>(static_cast<int64_t>(d)) == d) {
+      append_int('I', static_cast<int64_t>(d));
+    } else {
+      key->append(v.Serialize());
     }
+  } else if (v.is_int()) {
+    append_int('I', v.AsInt());
+  } else if (v.is_text()) {
+    append_int('T', static_cast<int64_t>(v.text().size()));
+    key->push_back(':');
+    key->append(v.text());
+  } else {
+    key->append(v.Serialize());
   }
-  return v.Serialize();
+  key->push_back('\x1f');
 }
 
 // Flattens a predicate tree into its top-level AND conjuncts, in
@@ -207,6 +229,211 @@ bool OuterOnlyExpr(const Expr& e, const std::vector<std::string>& local_aliases)
     default:
       return false;  // subqueries and friends: never hoisted
   }
+}
+
+// True when the general path would sort by a projected column rather than
+// evaluate the bare ORDER BY name `key`: some item's output name (alias,
+// column name or expression text) equals it while the item is not that
+// very expression, e.g. `SELECT x.time ... ORDER BY time` with x outer.
+bool OrderKeyRedirected(const SelectStmt& stmt, const Expr& key) {
+  if (key.kind != ExprKind::kColumn || !key.table.empty()) {
+    return false;
+  }
+  for (const SelectItem& item : stmt.items) {
+    if (item.star) {
+      continue;
+    }
+    const std::string name = !item.alias.empty()                   ? item.alias
+                             : item.expr->kind == ExprKind::kColumn ? item.expr->name
+                                                                    : ExprToString(*item.expr);
+    if (NameEq(name, key.name) && !NameEq(ExprToString(*item.expr), key.name)) {
+      return true;
+    }
+  }
+  return false;
+}
+
+// True when `e` has no subquery, no aggregate and no unknown function, and
+// every column it reads satisfies `column_ok`: such an expression evaluates
+// without error whenever its columns resolve.
+template <typename ColumnOk>
+bool PlainExpr(const Expr& e, const ColumnOk& column_ok) {
+  switch (e.kind) {
+    case ExprKind::kLiteral:
+      return true;
+    case ExprKind::kColumn:
+      return column_ok(e);
+    case ExprKind::kFunction:
+      if (!IsScalarFunctionName(e.name) || e.star) {
+        return false;
+      }
+      break;
+    case ExprKind::kSubquery:
+    case ExprKind::kExists:
+      return false;
+    default:
+      if (e.subquery != nullptr) {
+        return false;
+      }
+  }
+  for (const ExprPtr& a : e.args) {
+    if (!PlainExpr(*a, column_ok)) {
+      return false;
+    }
+  }
+  return true;
+}
+
+// The columns (with their source aliases) one statement's rows expose, as
+// ExecuteSelect lays out its combined relation; used to resolve names
+// without executing anything.
+struct NameScope {
+  std::vector<std::string> aliases;  // parallel to columns
+  std::vector<std::string> columns;
+};
+
+bool ResolvesIn(const Expr& col, const std::vector<NameScope>& scopes) {
+  for (const NameScope& scope : scopes) {
+    for (size_t i = 0; i < scope.columns.size(); ++i) {
+      if (NameEq(scope.columns[i], col.name) &&
+          (col.table.empty() || NameEq(scope.aliases[i], col.table))) {
+        return true;
+      }
+    }
+  }
+  return false;
+}
+
+bool SelfContained(const Database& db, const SelectStmt& stmt, std::vector<NameScope>* scopes);
+
+bool SelfContainedExpr(const Database& db, const Expr& e, std::vector<NameScope>* scopes) {
+  if (e.kind == ExprKind::kColumn) {
+    return ResolvesIn(e, *scopes);
+  }
+  for (const ExprPtr& a : e.args) {
+    if (!SelfContainedExpr(db, *a, scopes)) {
+      return false;
+    }
+  }
+  return e.subquery == nullptr || SelfContained(db, *e.subquery, scopes);
+}
+
+// True when every column reference in `stmt`, its nested subqueries and its
+// derived tables resolves to one of the statement's own sources or to
+// `scopes` (the enclosing statements that belong to the same candidate
+// subquery). A name that cannot be resolved statically counts as a
+// reference to some outer row, i.e. as correlated.
+bool SelfContained(const Database& db, const SelectStmt& stmt, std::vector<NameScope>* scopes) {
+  // LIMIT and OFFSET are evaluated against the enclosing scopes only.
+  for (const Expr* e : {stmt.limit.get(), stmt.offset.get()}) {
+    if (e != nullptr && !SelfContainedExpr(db, *e, scopes)) {
+      return false;
+    }
+  }
+  NameScope own;
+  auto add_source = [&](const TableRef& ref, bool natural) {
+    std::optional<std::vector<std::string>> columns;
+    std::string alias = ref.alias;
+    if (ref.subquery != nullptr) {
+      // A derived table sees the enclosing scopes, not its siblings.
+      if (!SelfContained(db, *ref.subquery, scopes)) {
+        return false;
+      }
+      columns = OutputColumnNames(*ref.subquery);
+    } else {
+      columns = db.CatalogColumns(ref.table_name);
+      if (alias.empty()) {
+        alias = ref.table_name;
+      }
+    }
+    if (!columns.has_value()) {
+      return false;
+    }
+    const size_t left_width = own.columns.size();
+    for (const std::string& c : *columns) {
+      // NATURAL JOIN keeps only the left copy of a shared column.
+      if (natural && std::any_of(own.columns.begin(), own.columns.begin() + left_width,
+                                 [&](const std::string& l) { return NameEq(l, c); })) {
+        continue;
+      }
+      own.aliases.push_back(alias);
+      own.columns.push_back(c);
+    }
+    return true;
+  };
+  if (stmt.from.has_value() && !add_source(*stmt.from, false)) {
+    return false;
+  }
+  for (const JoinClause& join : stmt.joins) {
+    if (!add_source(join.table, join.kind == JoinClause::Kind::kNatural)) {
+      return false;
+    }
+    if (join.on != nullptr) {
+      scopes->push_back(own);  // ON sees the sources joined so far
+      bool ok = SelfContainedExpr(db, *join.on, scopes);
+      scopes->pop_back();
+      if (!ok) {
+        return false;
+      }
+    }
+  }
+  std::vector<const Expr*> exprs = {stmt.where.get(), stmt.having.get()};
+  for (const SelectItem& item : stmt.items) {
+    exprs.push_back(item.expr.get());
+  }
+  for (const ExprPtr& g : stmt.group_by) {
+    exprs.push_back(g.get());
+  }
+  for (const OrderItem& o : stmt.order_by) {
+    exprs.push_back(o.expr.get());
+  }
+  scopes->push_back(std::move(own));
+  bool ok = std::all_of(exprs.begin(), exprs.end(), [&](const Expr* e) {
+    return e == nullptr || SelfContainedExpr(db, *e, scopes);
+  });
+  scopes->pop_back();
+  return ok;
+}
+
+}  // namespace
+
+// A scalar subquery of the "latest row before" shape over one base table T,
+//   SELECT MAX(time) FROM T WHERE <where>
+//   SELECT <expr> FROM T WHERE <where> ORDER BY time DESC LIMIT 1
+// where <where> is a conjunction of equalities `T.col = <outer-only>`,
+// exactly one upper bound `T.time < | <= <outer-only>` and any conjuncts
+// reading only T. Built once per statement: T's rows are bucketed by their
+// equality-key values, each bucket in ascending (time, row order) — the
+// walk order of the time index and of a time-sorted snapshot view. A lookup
+// hashes the outer values, binary-searches the bound and walks time groups
+// latest first, rows within a group in row order (the stable sort's tie
+// order), stopping at the first row that passes the local conjuncts.
+struct Executor::AsOfPlan {
+  bool max_mode = false;
+  const Expr* item = nullptr;          // projected expression (ORDER BY form)
+  std::vector<size_t> key_cols;        // T's equality-key columns
+  std::vector<const Expr*> key_exprs;  // their outer-only sides
+  const Expr* bound = nullptr;         // outer-only upper bound on T.time
+  bool bound_strict = false;           // T.time < bound (else <=)
+  std::vector<const Expr*> filters;    // conjuncts reading only T
+  Relation rel;                        // T, pinned for the statement
+  // AppendJoinKey(key values) -> (time, row position in rel), ascending.
+  std::unordered_map<std::string, std::vector<std::pair<int64_t, size_t>>> buckets;
+  // Per key column: whether some row's key is a real, or an integer beyond
+  // 2^53. Value::Compare matches such a value against a number of the other
+  // kind after rounding to double, which a hash key cannot reproduce.
+  std::vector<bool> has_real;
+  std::vector<bool> has_wide_int;
+  std::string key;                // lookup scratch
+  std::vector<RowScope> scopes;   // lookup scratch: outer chain plus T's row
+};
+
+namespace {
+
+constexpr int64_t kExactDoubleInt = int64_t{1} << 53;
+
+bool WideInt(const Value& v) {
+  return v.is_int() && (v.AsInt() > kExactDoubleInt || v.AsInt() < -kExactDoubleInt);
 }
 
 }  // namespace
@@ -265,6 +492,308 @@ std::string ExprToString(const Expr& expr) {
   }
 }
 
+std::optional<std::vector<std::string>> OutputColumnNames(const SelectStmt& stmt) {
+  std::vector<std::string> columns;
+  for (const SelectItem& item : stmt.items) {
+    if (item.star) {
+      return std::nullopt;
+    }
+    if (!item.alias.empty()) {
+      columns.push_back(item.alias);
+    } else if (item.expr->kind == ExprKind::kColumn) {
+      columns.push_back(item.expr->name);
+    } else {
+      columns.push_back(ExprToString(*item.expr));
+    }
+  }
+  return columns;
+}
+
+Executor::Executor(const Database& db, const Snapshot* snap) : db_(db), snap_(snap) {}
+
+Executor::~Executor() = default;
+
+Executor::SubqueryMemo& Executor::Memo(const SelectStmt& sub) {
+  SubqueryMemo& memo = subqueries_[&sub];
+  if (!memo.analysed) {
+    memo.analysed = true;
+    std::vector<NameScope> scopes;
+    memo.uncorrelated = SelfContained(db_, sub, &scopes);
+  }
+  return memo;
+}
+
+Result<const QueryResult*> Executor::RunSubquery(const SelectStmt& sub,
+                                                 const std::vector<RowScope>& scopes,
+                                                 QueryResult* scratch) {
+  if (db_.tuning_.use_time_index) {
+    SubqueryMemo& memo = Memo(sub);
+    if (memo.uncorrelated) {
+      if (!memo.result.has_value()) {
+        auto result = ExecuteSelect(sub, scopes);
+        if (!result.ok()) {
+          return result.status();
+        }
+        memo.result = std::move(*result);
+      }
+      SEAL_OBS_COUNTER("seadb_fastpath_hits_total{kind=\"subquery_once\"}").Increment();
+      return &*memo.result;
+    }
+  }
+  auto result = ExecuteSelect(sub, scopes);
+  if (!result.ok()) {
+    return result.status();
+  }
+  *scratch = std::move(*result);
+  return scratch;
+}
+
+std::unique_ptr<Executor::AsOfPlan> Executor::PlanAsOf(const SelectStmt& stmt) {
+  if (!stmt.from.has_value() || stmt.from->table_name.empty() || !stmt.joins.empty() ||
+      !stmt.group_by.empty() || stmt.having != nullptr || stmt.distinct ||
+      stmt.where == nullptr || stmt.items.size() != 1 || stmt.items[0].star) {
+    return nullptr;
+  }
+  auto table_it = db_.tables_.find(stmt.from->table_name);
+  if (table_it == db_.tables_.end()) {
+    return nullptr;
+  }
+  const Database::TableData& t = table_it->second;
+  // The same inputs TryIndexedFastPath walks: the live time index, or a
+  // time-sorted snapshot view (never the live index under a snapshot).
+  RowStore::View view;
+  if (snap_ != nullptr) {
+    auto snap_it = snap_->tables.find(stmt.from->table_name);
+    if (snap_it == snap_->tables.end() || !snap_it->second.time_sorted ||
+        snap_it->second.time_col != t.time_col) {
+      return nullptr;
+    }
+    view = snap_it->second.view;
+  } else if (!t.index_valid) {
+    return nullptr;
+  } else {
+    view = t.rows.Snapshot();
+  }
+  const std::string alias =
+      stmt.from->alias.empty() ? stmt.from->table_name : stmt.from->alias;
+  const std::vector<std::string> local_aliases = {alias};
+  const int time_col = t.time_col;
+  // The T column a reference resolves to under LookupColumn's first-match
+  // rule, or -1 when it resolves elsewhere.
+  auto local_col = [&](const Expr& e) -> int {
+    if (e.kind != ExprKind::kColumn || (!e.table.empty() && !NameEq(e.table, alias))) {
+      return -1;
+    }
+    for (size_t i = 0; i < t.columns.size(); ++i) {
+      if (NameEq(t.columns[i], e.name)) {
+        return static_cast<int>(i);
+      }
+    }
+    return -1;
+  };
+  auto reads_only_t = [&](const Expr& e) { return local_col(e) >= 0; };
+
+  auto plan = std::make_unique<AsOfPlan>();
+  const SelectItem& item = stmt.items[0];
+  if (stmt.order_by.empty() && stmt.limit == nullptr && stmt.offset == nullptr) {
+    const Expr& e = *item.expr;
+    if (e.kind != ExprKind::kFunction || e.name != "MAX" || e.star || e.distinct ||
+        e.args.size() != 1 || local_col(*e.args[0]) != time_col) {
+      return nullptr;
+    }
+    plan->max_mode = true;
+  } else {
+    if (stmt.order_by.size() != 1) {
+      return nullptr;
+    }
+    const Expr& key = *stmt.order_by[0].expr;
+    if (!stmt.order_by[0].desc || local_col(key) != time_col || stmt.limit == nullptr ||
+        stmt.limit->kind != ExprKind::kLiteral || !stmt.limit->literal.is_int() ||
+        stmt.limit->literal.AsInt() != 1 || stmt.offset != nullptr ||
+        !PlainExpr(*item.expr, [](const Expr&) { return true; }) ||
+        OrderKeyRedirected(stmt, key)) {
+      return nullptr;
+    }
+    plan->item = item.expr.get();
+  }
+
+  std::vector<const Expr*> conjuncts;
+  SplitAnd(stmt.where.get(), &conjuncts);
+  for (const Expr* c : conjuncts) {
+    if (c->kind == ExprKind::kBinary && c->args.size() == 2) {
+      const Expr& l = *c->args[0];
+      const Expr& r = *c->args[1];
+      const int lc = local_col(l);
+      const int rc = local_col(r);
+      if (c->op == "=" && (lc >= 0) != (rc >= 0)) {
+        const Expr& outer_side = lc >= 0 ? r : l;
+        if (OuterOnlyExpr(outer_side, local_aliases)) {
+          plan->key_cols.push_back(static_cast<size_t>(lc >= 0 ? lc : rc));
+          plan->key_exprs.push_back(&outer_side);
+          continue;
+        }
+      }
+      const Expr* bound = nullptr;
+      if ((c->op == "<" || c->op == "<=") && lc == time_col && rc < 0 &&
+          OuterOnlyExpr(r, local_aliases)) {
+        bound = &r;
+      } else if ((c->op == ">" || c->op == ">=") && rc == time_col && lc < 0 &&
+                 OuterOnlyExpr(l, local_aliases)) {
+        bound = &l;
+      }
+      if (bound != nullptr) {
+        if (plan->bound != nullptr) {
+          return nullptr;  // exactly one upper bound
+        }
+        plan->bound = bound;
+        plan->bound_strict = c->op == "<" || c->op == ">";
+        continue;
+      }
+    }
+    if (!PlainExpr(*c, reads_only_t)) {
+      return nullptr;
+    }
+    plan->filters.push_back(c);
+  }
+  if (plan->bound == nullptr) {
+    return nullptr;
+  }
+
+  plan->rel.columns = t.columns;
+  plan->rel.aliases.assign(t.columns.size(), alias);
+  plan->rel.SetRows(RowsRef(view));
+  const size_t nkeys = plan->key_cols.size();
+  plan->has_real.assign(nkeys, false);
+  plan->has_wide_int.assign(nkeys, false);
+  const size_t n = snap_ != nullptr ? view.size() : t.time_index.size();
+  std::string key;
+  for (size_t j = 0; j < n; ++j) {
+    const auto [time, pos] =
+        snap_ != nullptr
+            ? std::pair<int64_t, size_t>(view[j][static_cast<size_t>(time_col)].AsInt(), j)
+            : t.time_index[j];
+    const Row& row = view[pos];
+    key.clear();
+    bool null_key = false;
+    for (size_t k = 0; k < nkeys && !null_key; ++k) {
+      const Value& v = row[plan->key_cols[k]];
+      if (v.is_null()) {
+        null_key = true;  // `= NULL` never holds
+        continue;
+      }
+      if (v.is_real()) {
+        if (std::isnan(v.AsReal())) {
+          return nullptr;  // NaN compares equal to every number
+        }
+        plan->has_real[k] = true;
+      } else if (WideInt(v)) {
+        plan->has_wide_int[k] = true;
+      }
+      AppendJoinKey(v, &key);
+    }
+    if (!null_key) {
+      plan->buckets[key].emplace_back(time, pos);
+    }
+  }
+  return plan;
+}
+
+std::optional<Result<Value>> Executor::TryAsOfLookup(const SelectStmt& sub,
+                                                     const std::vector<RowScope>& scopes) {
+  if (!db_.tuning_.use_time_index) {
+    return std::nullopt;
+  }
+  SubqueryMemo& memo = Memo(sub);
+  if (memo.uncorrelated) {
+    return std::nullopt;  // RunSubquery evaluates it once
+  }
+  if (!memo.asof_analysed) {
+    memo.asof_analysed = true;
+    memo.asof = PlanAsOf(sub);
+  }
+  if (memo.asof == nullptr) {
+    return std::nullopt;
+  }
+  AsOfPlan& plan = *memo.asof;
+  // Every outer-side expression is evaluated before any decision: an error
+  // sends this evaluation down the per-row path, which reports it (or not,
+  // over an empty scan) exactly as before.
+  plan.key.clear();
+  bool null_key = false;
+  for (size_t k = 0; k < plan.key_exprs.size(); ++k) {
+    auto v = Eval(*plan.key_exprs[k], scopes);
+    if (!v.ok()) {
+      return std::nullopt;
+    }
+    if (v->is_null()) {
+      null_key = true;
+      continue;
+    }
+    if (v->is_real() ? std::isnan(v->AsReal()) || plan.has_wide_int[k]
+                     : WideInt(*v) && plan.has_real[k]) {
+      return std::nullopt;
+    }
+    AppendJoinKey(*v, &plan.key);
+  }
+  auto bound = Eval(*plan.bound, scopes);
+  if (!bound.ok() || (!bound->is_null() && !bound->is_int())) {
+    return std::nullopt;
+  }
+  SEAL_OBS_COUNTER("seadb_fastpath_hits_total{kind=\"asof\"}").Increment();
+  if (null_key || bound->is_null()) {
+    return Result<Value>(Value::Null());
+  }
+  auto it = plan.buckets.find(plan.key);
+  if (it == plan.buckets.end()) {
+    return Result<Value>(Value::Null());
+  }
+  const std::vector<std::pair<int64_t, size_t>>& bucket = it->second;
+  const int64_t hi = bound->AsInt();
+  auto end = plan.bound_strict
+                 ? std::lower_bound(bucket.begin(), bucket.end(), hi,
+                                    [](const auto& e, int64_t v) { return e.first < v; })
+                 : std::upper_bound(bucket.begin(), bucket.end(), hi,
+                                    [](int64_t v, const auto& e) { return v < e.first; });
+  if (!plan.filters.empty() || !plan.max_mode) {
+    plan.scopes.assign(scopes.begin(), scopes.end());
+    plan.scopes.push_back(RowScope{&plan.rel, nullptr});
+  }
+  size_t group_end = static_cast<size_t>(end - bucket.begin());
+  while (group_end > 0) {
+    size_t group_begin = group_end;
+    while (group_begin > 0 && bucket[group_begin - 1].first == bucket[group_end - 1].first) {
+      --group_begin;
+    }
+    for (size_t j = group_begin; j < group_end; ++j) {
+      const Row& row = plan.rel.Rows()[bucket[j].second];
+      bool pass = true;
+      if (!plan.filters.empty()) {
+        plan.scopes.back().row = &row;
+        for (const Expr* f : plan.filters) {
+          auto cond = Eval(*f, plan.scopes);
+          if (!cond.ok()) {
+            return Result<Value>(cond.status());
+          }
+          if (!cond->Truthy()) {
+            pass = false;
+            break;
+          }
+        }
+      }
+      if (!pass) {
+        continue;
+      }
+      if (plan.max_mode) {
+        return Result<Value>(Value(bucket[j].first));
+      }
+      plan.scopes.back().row = &row;
+      return EvalInternal(*plan.item, plan.scopes, nullptr);
+    }
+    group_end = group_begin;
+  }
+  return Result<Value>(Value::Null());
+}
+
 Result<Value> Executor::LookupColumn(const Expr& expr, const std::vector<RowScope>& scopes) {
   for (auto it = scopes.rbegin(); it != scopes.rend(); ++it) {
     const Relation* rel = it->relation;
@@ -291,12 +820,15 @@ Result<Value> Executor::EvalAggregate(const Expr& expr, const std::vector<RowSco
   // relation as the innermost scope.
   std::vector<Value> samples;
   samples.reserve(group.row_indices->size());
+  std::vector<RowScope> row_scopes;
+  if (!expr.star) {
+    row_scopes = scopes;
+  }
   for (size_t idx : *group.row_indices) {
     if (expr.star) {
       samples.push_back(Value(static_cast<int64_t>(1)));
       continue;
     }
-    std::vector<RowScope> row_scopes = scopes;
     // Replace the innermost scope's row with this group member.
     row_scopes.back() = RowScope{group.relation, &group.relation->Rows()[idx]};
     auto v = EvalInternal(*expr.args[0], row_scopes, nullptr);
@@ -533,21 +1065,26 @@ Result<Value> Executor::EvalInternal(const Expr& expr, const std::vector<RowScop
     case ExprKind::kFunction:
       return EvalFunction(expr, scopes, group);
     case ExprKind::kSubquery: {
-      auto sub = ExecuteSelect(*expr.subquery, scopes);
+      if (auto asof = TryAsOfLookup(*expr.subquery, scopes)) {
+        return std::move(*asof);
+      }
+      QueryResult scratch;
+      auto sub = RunSubquery(*expr.subquery, scopes, &scratch);
       if (!sub.ok()) {
         return sub.status();
       }
-      if (sub->rows.empty() || sub->columns.empty()) {
+      if ((*sub)->rows.empty() || (*sub)->columns.empty()) {
         return Value::Null();
       }
-      return sub->rows[0][0];
+      return (*sub)->rows[0][0];
     }
     case ExprKind::kExists: {
-      auto sub = ExecuteSelect(*expr.subquery, scopes);
+      QueryResult scratch;
+      auto sub = RunSubquery(*expr.subquery, scopes, &scratch);
       if (!sub.ok()) {
         return sub.status();
       }
-      bool exists = !sub->rows.empty();
+      bool exists = !(*sub)->rows.empty();
       if (expr.negated) {
         exists = !exists;
       }
@@ -563,11 +1100,12 @@ Result<Value> Executor::EvalInternal(const Expr& expr, const std::vector<RowScop
       }
       bool found = false;
       if (expr.subquery != nullptr) {
-        auto sub = ExecuteSelect(*expr.subquery, scopes);
+        QueryResult scratch;
+        auto sub = RunSubquery(*expr.subquery, scopes, &scratch);
         if (!sub.ok()) {
           return sub.status();
         }
-        for (const Row& row : sub->rows) {
+        for (const Row& row : (*sub)->rows) {
           if (!row.empty() && !row[0].is_null() && Value::Compare(row[0], *needle) == 0) {
             found = true;
             break;
@@ -968,13 +1506,9 @@ std::optional<Result<QueryResult>> Executor::TryIndexedFastPath(
       if (ContainsAggregate(*item.expr)) {
         return std::nullopt;
       }
-      // The general path resolves a bare ORDER BY name against output
-      // aliases first; bail out if that rule would redirect the sort key.
-      if (stmt.order_by[0].expr->table.empty() && !item.alias.empty() &&
-          NameEq(item.alias, stmt.order_by[0].expr->name) &&
-          !NameEq(ExprToString(*item.expr), stmt.order_by[0].expr->name)) {
-        return std::nullopt;
-      }
+    }
+    if (OrderKeyRedirected(stmt, *stmt.order_by[0].expr)) {
+      return std::nullopt;
     }
   }
 
@@ -998,6 +1532,8 @@ std::optional<Result<QueryResult>> Executor::TryIndexedFastPath(
     result.columns.push_back(!item.alias.empty() ? item.alias : ExprToString(*item.expr));
     // Walk keys descending; the first row passing WHERE carries the maximum.
     Value best;
+    std::vector<RowScope> scopes = outer;
+    scopes.push_back(RowScope{&rel, nullptr});
     size_t group_end = idx_size;
     bool done = false;
     while (group_end > 0 && !done) {
@@ -1008,8 +1544,7 @@ std::optional<Result<QueryResult>> Executor::TryIndexedFastPath(
       for (size_t j = group_begin; j < group_end && !done; ++j) {
         const Row& row = row_at(j);
         if (stmt.where != nullptr) {
-          std::vector<RowScope> scopes = outer;
-          scopes.push_back(RowScope{&rel, &row});
+          scopes.back().row = &row;
           auto cond = Eval(*stmt.where, scopes);
           if (!cond.ok()) {
             return std::optional<Result<QueryResult>>(cond.status());
@@ -1056,6 +1591,8 @@ std::optional<Result<QueryResult>> Executor::TryIndexedFastPath(
     }
   }
   int64_t to_skip = offset;
+  std::vector<RowScope> scopes = outer;
+  scopes.push_back(RowScope{&rel, nullptr});
   size_t group_end = idx_size;
   bool done = limit == 0;
   while (group_end > 0 && !done) {
@@ -1065,8 +1602,7 @@ std::optional<Result<QueryResult>> Executor::TryIndexedFastPath(
     }
     for (size_t j = group_begin; j < group_end && !done; ++j) {
       const Row& row = row_at(j);
-      std::vector<RowScope> scopes = outer;
-      scopes.push_back(RowScope{&rel, &row});
+      scopes.back().row = &row;
       if (stmt.where != nullptr) {
         auto cond = Eval(*stmt.where, scopes);
         if (!cond.ok()) {
@@ -1321,14 +1857,15 @@ Result<QueryResult> Executor::ExecuteSelect(const SelectStmt& stmt,
               null_key = true;
               break;
             }
-            key += JoinKeyOf(rrow[rc]);
-            key.push_back('\x1f');
+            AppendJoinKey(rrow[rc], &key);
           }
           if (!null_key) {
             buckets[key].push_back(r);
           }
         }
         static const std::vector<size_t> kNoMatches;
+        std::vector<RowScope> scopes = outer;
+        scopes.push_back(RowScope{&combined, nullptr});
         for (const Row& lrow : rel.Rows()) {
           bool matched = false;
           std::string key;
@@ -1339,8 +1876,7 @@ Result<QueryResult> Executor::ExecuteSelect(const SelectStmt& stmt,
               null_key = true;
               break;
             }
-            key += JoinKeyOf(lrow[lc]);
-            key.push_back('\x1f');
+            AppendJoinKey(lrow[lc], &key);
           }
           const std::vector<size_t>* matches = &kNoMatches;
           if (!null_key) {
@@ -1357,8 +1893,7 @@ Result<QueryResult> Executor::ExecuteSelect(const SelectStmt& stmt,
             }
             bool keep = true;
             if (!residuals.empty()) {
-              std::vector<RowScope> scopes = outer;
-              scopes.push_back(RowScope{&combined, &joined});
+              scopes.back().row = &joined;
               for (const Expr* res : residuals) {
                 auto cond = Eval(*res, scopes);
                 if (!cond.ok()) {
@@ -1385,6 +1920,8 @@ Result<QueryResult> Executor::ExecuteSelect(const SelectStmt& stmt,
         }
       } else {
         SEAL_OBS_COUNTER("seadb_joins_total{algo=\"nested_loop\"}").Increment();
+        std::vector<RowScope> scopes = outer;
+        scopes.push_back(RowScope{&combined, nullptr});
         for (const Row& lrow : rel.Rows()) {
           bool matched = false;
           for (const Row& rrow : right->Rows()) {
@@ -1406,8 +1943,7 @@ Result<QueryResult> Executor::ExecuteSelect(const SelectStmt& stmt,
             }
             if (keep && join.on != nullptr) {
               // Evaluate ON against a temporary combined relation scope.
-              std::vector<RowScope> scopes = outer;
-              scopes.push_back(RowScope{&combined, &joined});
+              scopes.back().row = &joined;
               auto cond = Eval(*join.on, scopes);
               if (!cond.ok()) {
                 return cond.status();
@@ -1444,9 +1980,10 @@ Result<QueryResult> Executor::ExecuteSelect(const SelectStmt& stmt,
   // 2. WHERE.
   if (stmt.where != nullptr) {
     std::vector<Row> kept;
+    std::vector<RowScope> scopes = outer;
+    scopes.push_back(RowScope{&rel, nullptr});
     for (const Row& row : rel.Rows()) {
-      std::vector<RowScope> scopes = outer;
-      scopes.push_back(RowScope{&rel, &row});
+      scopes.back().row = &row;
       auto cond = Eval(*stmt.where, scopes);
       if (!cond.ok()) {
         return cond.status();
@@ -1504,9 +2041,12 @@ Result<QueryResult> Executor::ExecuteSelect(const SelectStmt& stmt,
   };
   std::vector<OutputRow> outputs;
 
+  // One scope chain for every per-row evaluation below; each overwrites the
+  // innermost slot.
+  std::vector<RowScope> scopes = outer;
+  scopes.push_back(RowScope{&rel, nullptr});
   auto project = [&](const Row& representative, const GroupContext* group) -> Status {
-    std::vector<RowScope> scopes = outer;
-    scopes.push_back(RowScope{&rel, &representative});
+    scopes.back().row = &representative;
     OutputRow out;
     size_t star_i = 0;
     for (size_t i = 0; i < item_exprs.size(); ++i) {
@@ -1561,8 +2101,7 @@ Result<QueryResult> Executor::ExecuteSelect(const SelectStmt& stmt,
     std::vector<std::string> group_order;
     for (size_t r = 0; r < rel.Rows().size(); ++r) {
       std::string key;
-      std::vector<RowScope> scopes = outer;
-      scopes.push_back(RowScope{&rel, &rel.Rows()[r]});
+      scopes.back().row = &rel.Rows()[r];
       for (const ExprPtr& g : stmt.group_by) {
         auto v = Eval(*g, scopes);
         if (!v.ok()) {
@@ -1588,8 +2127,7 @@ Result<QueryResult> Executor::ExecuteSelect(const SelectStmt& stmt,
       const Row& representative = indices.empty() ? kEmptyRow : rel.Rows()[indices[0]];
       GroupContext group{&rel, &indices};
       if (stmt.having != nullptr) {
-        std::vector<RowScope> scopes = outer;
-        scopes.push_back(RowScope{&rel, &representative});
+        scopes.back().row = &representative;
         auto cond = EvalInternal(*stmt.having, scopes, &group);
         if (!cond.ok()) {
           return cond.status();

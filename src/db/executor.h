@@ -3,8 +3,10 @@
 #define SRC_DB_EXECUTOR_H_
 
 #include <cstdint>
+#include <memory>
 #include <optional>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "src/common/status.h"
@@ -65,13 +67,20 @@ struct TimeBound {
 
 // Executes SELECT statements against a Database. `outer` is the scope chain
 // of enclosing queries (innermost last) for correlated subqueries.
+//
+// One Executor serves one statement: with the time index tuned on, it
+// memoises subquery work per subquery AST node (uncorrelated results, as-of
+// lookup tables), so a node must see the same table contents every time it
+// is evaluated. SELECT, and DELETE/UPDATE predicates, read before any
+// write; each INSERT VALUES row has nodes of its own.
 class Executor {
  public:
   // With `snap`, base-table scans read the snapshot's pinned row prefixes
   // instead of live table state — safe concurrently with writers. Advisory
   // fast paths that would touch the live time index are disabled.
-  explicit Executor(const Database& db, const Snapshot* snap = nullptr)
-      : db_(db), snap_(snap) {}
+  // Both out of line: AsOfPlan is a complete type only in executor.cc.
+  explicit Executor(const Database& db, const Snapshot* snap = nullptr);
+  ~Executor();
 
   // `bound` (optional) constrains the statement's `time` output column; it
   // is pushed into the base-table scan when provably safe (see the view
@@ -117,9 +126,44 @@ class Executor {
   std::optional<Result<QueryResult>> TryIndexedFastPath(const SelectStmt& stmt,
                                                         const std::vector<RowScope>& outer);
 
+  // Runs a subquery for an IN / EXISTS / scalar evaluation. An uncorrelated
+  // subquery runs once per Executor and later calls return the same result;
+  // otherwise the result is built in `scratch`.
+  Result<const QueryResult*> RunSubquery(const SelectStmt& sub,
+                                         const std::vector<RowScope>& scopes,
+                                         QueryResult* scratch);
+
+  // A scalar "latest row before" subquery answered from a per-statement
+  // as-of table (see AsOfPlan in executor.cc). Returns nullopt when the
+  // shape or this evaluation's values do not qualify; the caller then runs
+  // the subquery in full.
+  std::optional<Result<Value>> TryAsOfLookup(const SelectStmt& sub,
+                                             const std::vector<RowScope>& scopes);
+
+  struct AsOfPlan;
+  // Recognises the as-of shape and builds its table, or returns null.
+  std::unique_ptr<AsOfPlan> PlanAsOf(const SelectStmt& sub);
+
+  struct SubqueryMemo {
+    bool analysed = false;
+    bool uncorrelated = false;
+    std::optional<QueryResult> result;  // uncorrelated: set by the first run
+    bool asof_analysed = false;
+    std::unique_ptr<AsOfPlan> asof;     // null: not an as-of shape
+  };
+  SubqueryMemo& Memo(const SelectStmt& sub);
+
   const Database& db_;
   const Snapshot* snap_ = nullptr;
+  // Keyed by the subquery's AST node; node addresses are stable for the
+  // statement's lifetime, and map references survive rehashing.
+  std::unordered_map<const SelectStmt*, SubqueryMemo> subqueries_;
 };
+
+// Output column names of `stmt` without executing it (item alias, bare
+// column name, or the expression's text), or nullopt when a star needs the
+// source relations to expand.
+std::optional<std::vector<std::string>> OutputColumnNames(const SelectStmt& stmt);
 
 // True if the expression (recursively, not descending into subqueries)
 // contains an aggregate function call.

@@ -11,6 +11,7 @@
 
 #include "src/core/logger.h"
 #include "src/db/database.h"
+#include "src/obs/obs.h"
 #include "src/services/dropbox_service.h"
 #include "src/services/git_service.h"
 #include "src/services/messaging_service.h"
@@ -278,7 +279,10 @@ TEST(TimeFloor, NarrowsScanToNewerTuples) {
 
 // Snapshots the logger's database and replays every invariant query with the
 // optimisations on and off; the results must be byte-identical, with and
-// without an incremental floor.
+// without an incremental floor, through Execute and through the checker's
+// path (cached plans on a pinned snapshot). Then runs the trimming
+// statements on both copies and compares every table and, once more, every
+// invariant.
 void ExpectSuiteEquivalence(core::AuditLogger& logger) {
   Bytes snapshot = logger.log().database().Serialize();
   auto fast = Database::Deserialize(snapshot);
@@ -299,6 +303,38 @@ void ExpectSuiteEquivalence(core::AuditLogger& logger) {
       ASSERT_TRUE(fb.ok()) << inv.name << " floor " << floor << ": " << fb.status().ToString();
       EXPECT_EQ(Fingerprint(*fa), Fingerprint(*fb)) << inv.name << " floor " << floor;
     }
+  }
+  const db::Snapshot fast_snap = fast->CaptureSnapshot();
+  const db::Snapshot slow_snap = slow->CaptureSnapshot();
+  db::PlanCache fast_plans;
+  db::PlanCache slow_plans;
+  for (const core::Invariant& inv : logger.module().Invariants()) {
+    for (int64_t floor : {0, 3, 7}) {
+      auto fa = fast_plans.Execute(*fast, inv.query, floor, &fast_snap);
+      auto fb = slow_plans.Execute(*slow, inv.query, floor, &slow_snap);
+      ASSERT_TRUE(fa.ok()) << inv.name << " snapshot floor " << floor << ": "
+                           << fa.status().ToString();
+      ASSERT_TRUE(fb.ok()) << inv.name << " snapshot floor " << floor << ": "
+                           << fb.status().ToString();
+      EXPECT_EQ(Fingerprint(*fa), Fingerprint(*fb)) << inv.name << " snapshot floor " << floor;
+    }
+  }
+  for (const std::string& trim : logger.module().TrimmingQueries()) {
+    auto ta = fast->Execute(trim);
+    auto tb = slow->Execute(trim);
+    ASSERT_TRUE(ta.ok()) << trim << ": " << ta.status().ToString();
+    ASSERT_TRUE(tb.ok()) << trim << ": " << tb.status().ToString();
+    EXPECT_EQ(ta->affected, tb->affected) << trim;
+  }
+  ASSERT_EQ(fast->TableNames(), slow->TableNames());
+  for (const std::string& table : fast->TableNames()) {
+    EXPECT_EQ(Fingerprint(Exec(*fast, "SELECT * FROM " + table)),
+              Fingerprint(Exec(*slow, "SELECT * FROM " + table)))
+        << table << " after trim";
+  }
+  for (const core::Invariant& inv : logger.module().Invariants()) {
+    EXPECT_EQ(Fingerprint(Exec(*fast, inv.query)), Fingerprint(Exec(*slow, inv.query)))
+        << inv.name << " after trim";
   }
 }
 
@@ -396,6 +432,55 @@ TEST(SuiteEquivalence, Messaging) {
   service.set_attack(services::MessagingService::Attack::kDuplicate);
   pump(services::MakeInboxPoll("bob"));
   ExpectSuiteEquivalence(*logger);
+}
+
+// The Git invariants and trims take the subquery rewrites exactly when the
+// time index is tuned on: as-of lookups for the correlated "latest update"
+// subqueries, one evaluation for the trim's uncorrelated NOT IN.
+TEST(Decorrelation, GitStatementsTakeTheRewritesOnlyWhenTuned) {
+  auto logger = MakeLogger(std::make_unique<ssm::GitModule>());
+  services::GitBackend backend;
+  for (int i = 1; i <= 4; ++i) {
+    http::HttpRequest push = services::MakeGitPush(
+        "r", {{"main", "m" + std::to_string(i)}, {"dev", "d" + std::to_string(i)}});
+    Pump(*logger, push, backend.Handle(push));
+    http::HttpRequest fetch = services::MakeGitFetch("r");
+    Pump(*logger, fetch, backend.Handle(fetch));
+  }
+  Bytes image = logger->log().database().Serialize();
+  const auto count = [](const char* kind) {
+    return obs::Registry::Global().TakeSnapshot().counter(
+        std::string("seadb_fastpath_hits_total{kind=\"") + kind + "\"}");
+  };
+  for (bool tuned : {false, true}) {
+    auto db = Database::Deserialize(image);
+    ASSERT_TRUE(db.ok());
+    if (!tuned) {
+      db->set_tuning({.use_time_index = false, .use_hash_join = false});
+    }
+    obs::Registry::Global().Reset();
+    for (const core::Invariant& inv : logger->module().Invariants()) {
+      auto r = db->Execute(inv.query);
+      ASSERT_TRUE(r.ok()) << inv.name;
+      EXPECT_TRUE(r->rows.empty()) << inv.name;
+    }
+    const uint64_t asof = count("asof");
+    const size_t updates_before = db->TableSize("updates");
+    for (const std::string& trim : logger->module().TrimmingQueries()) {
+      ASSERT_TRUE(db->Execute(trim).ok()) << trim;
+    }
+    const uint64_t once = count("subquery_once");
+    if (tuned) {
+      // Soundness: one lookup per advertisement; completeness: one per
+      // (advertisement, older update) pair of the branchcnt view.
+      EXPECT_GE(asof, 8u);
+      // The trim's NOT IN is consulted once per updates row.
+      EXPECT_EQ(once, updates_before);
+    } else {
+      EXPECT_EQ(asof, 0u);
+      EXPECT_EQ(once, 0u);
+    }
+  }
 }
 
 // --- Incremental checking watermarks ---------------------------------------
