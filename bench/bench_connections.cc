@@ -1,13 +1,13 @@
-// Connection scaling: blocking worker pool vs the event-driven reactor.
+// Connection scaling on the reactor.
 //
 // Opens a fleet of mostly-idle keep-alive HTTPS connections and drives a
 // small set of active clients through the same server, sweeping the fleet
-// size. The blocking pool caps live connections at its worker count (idle
-// connections each pin a thread); the reactor multiplexes every connection
-// onto a fixed set of lthread-scheduler threads, so the fleet can grow by
-// orders of magnitude while req/s stays flat and tail latency bounded.
+// size. The reactor multiplexes every connection onto one lthread-scheduler
+// thread per core, so the fleet can grow by orders of magnitude while req/s
+// stays flat and tail latency bounded.
 //
 // Emits BENCH_connections.json. --quick shrinks the sweep for CI.
+#include <algorithm>
 #include <cstdio>
 #include <cstring>
 #include <memory>
@@ -51,9 +51,7 @@ std::vector<std::unique_ptr<services::HttpsClient>> OpenFleet(net::Network* netw
   for (auto& o : openers) {
     o.join();
   }
-  // Compact out the failures (the blocking pool refuses nothing at dial
-  // time, but a full accept queue can starve handshakes past the worker
-  // count; those clients time out of this fleet entirely).
+  // Compact out the failures: those clients are not part of the fleet.
   std::vector<std::unique_ptr<services::HttpsClient>> connected;
   for (auto& c : fleet) {
     if (c != nullptr) {
@@ -120,29 +118,22 @@ SweepPoint MeasureWithIdleFleet(net::Network* network, const tls::TlsConfig& cli
   return point;
 }
 
-std::vector<SweepPoint> RunMode(bool event_driven, const std::vector<size_t>& sweep,
-                                double seconds) {
+std::vector<SweepPoint> RunSweep(const std::vector<size_t>& sweep, double seconds) {
   net::Network network;
   tls::TlsConfig server_tls = ServerTls();
   services::PlainTransport transport(server_tls);
-  services::HttpServer::Options options;
-  options.address = "web:443";
-  options.event_driven = event_driven;
-  options.worker_threads = 16;
-  options.reactor_threads = 2;
-  options.reactor_task_stack_size = 64 * 1024;
-  services::HttpServer server(&network, options, &transport, services::ServeStaticContent);
+  services::HttpServer server(&network, {.address = "web:443"}, &transport,
+                              services::ServeStaticContent);
   std::vector<SweepPoint> points;
   if (!server.Start().ok()) {
     return points;
   }
   tls::TlsConfig client_tls = ClientTls();
-  std::printf("%-10s %10s %10s %12s %10s %6s\n", event_driven ? "reactor" : "blocking",
-              "requested", "conns", "rps", "p99_ms", "idle");
+  std::printf("%10s %10s %12s %10s %6s\n", "requested", "conns", "rps", "p99_ms", "idle");
   for (size_t fleet_size : sweep) {
     SweepPoint p = MeasureWithIdleFleet(&network, client_tls, fleet_size, seconds);
-    std::printf("%-10s %10zu %10zu %12.0f %10.3f %6s\n", "", p.requested, p.conns, p.rps,
-                p.p99_ms, p.idle_alive ? "ok" : "DEAD");
+    std::printf("%10zu %10zu %12.0f %10.3f %6s\n", p.requested, p.conns, p.rps, p.p99_ms,
+                p.idle_alive ? "ok" : "DEAD");
     points.push_back(p);
   }
   server.Stop();
@@ -178,49 +169,29 @@ int main(int argc, char** argv) {
     }
   }
   const double seconds = quick ? 0.5 : 1.5;
-  // The blocking pool (16 workers) cannot hold more than 16 live
-  // connections: every idle keep-alive connection pins a worker, and a
-  // fleet of 16 starves the active clients outright (their handshakes
-  // queue forever). Stop at 12 so the measurement itself can run. The
-  // reactor sweep goes orders of magnitude past the pool's ceiling on the
-  // same two shard threads.
-  const std::vector<size_t> blocking_sweep = {4, 12};
-  const std::vector<size_t> reactor_sweep =
-      quick ? std::vector<size_t>{64, 512, 2048}
-            : std::vector<size_t>{1024, 4096, 20480};
+  const std::vector<size_t> sweep = quick ? std::vector<size_t>{64, 512, 2048}
+                                          : std::vector<size_t>{1024, 4096, 20480};
 
-  std::printf("=== connection scaling: blocking pool (16 workers) vs reactor (2 threads) ===\n");
-  std::printf("host hardware concurrency: %u core(s)\n\n",
-              std::thread::hardware_concurrency());
+  const unsigned cores = std::max(1u, std::thread::hardware_concurrency());
+  std::printf("=== connection scaling: reactor (%u shard threads) ===\n\n", cores);
 
-  auto blocking = RunMode(false, blocking_sweep, seconds);
-  std::printf("\n");
-  auto reactor = RunMode(true, reactor_sweep, seconds);
+  auto reactor = RunSweep(sweep, seconds);
 
-  // Acceptance: the reactor holds >= 10x the blocking pool's idle
-  // connections with every sampled idle connection still serviceable, and
-  // req/s stays flat (largest fleet >= half the smallest fleet's rate).
-  bool pass = !blocking.empty() && !reactor.empty();
+  // Acceptance: the largest fleet is fully established with every sampled
+  // idle connection still serviceable, and req/s stays flat (largest fleet
+  // >= half the smallest fleet's rate).
+  bool pass = !reactor.empty();
   if (pass) {
-    size_t blocking_max = 0;
-    for (const auto& p : blocking) {
-      if (p.idle_alive && p.conns > blocking_max) {
-        blocking_max = p.conns;
-      }
-    }
     const SweepPoint& small = reactor.front();
     const SweepPoint& big = reactor.back();
-    pass = big.idle_alive && big.conns >= 10 * blocking_max &&
-           big.conns + 8 >= big.requested && big.rps >= 0.5 * small.rps;
-    std::printf("\nreactor held %zu idle conns (blocking pool: %zu), rps %0.f -> %.0f\n",
-                big.conns, blocking_max, small.rps, big.rps);
+    pass = big.idle_alive && big.conns + 8 >= big.requested && big.rps >= 0.5 * small.rps;
+    std::printf("\nreactor held %zu idle conns, rps %.0f -> %.0f\n", big.conns, small.rps,
+                big.rps);
   }
 
   std::FILE* f = std::fopen(out_path.c_str(), "wb");
   if (f != nullptr) {
-    std::fprintf(f, "{\n  \"bench\": \"connections\",\n");
-    EmitSeries(f, "blocking", blocking);
-    std::fprintf(f, ",\n");
+    std::fprintf(f, "{\n  \"bench\": \"connections\",\n  \"shard_threads\": %u,\n", cores);
     EmitSeries(f, "reactor", reactor);
     std::fprintf(f, ",\n  \"quick\": %s,\n  \"pass\": %s\n}\n", quick ? "true" : "false",
                  pass ? "true" : "false");

@@ -436,6 +436,36 @@ bool WideInt(const Value& v) {
   return v.is_int() && (v.AsInt() > kExactDoubleInt || v.AsInt() < -kExactDoubleInt);
 }
 
+// Whether AppendJoinKey keys agree with Value::Compare on every pair a hash
+// join of `left` and `right` can form. They do not when a key is NaN
+// (Compare calls it equal to every number), or when one side holds a real
+// and the other an integer beyond 2^53 (Compare rounds the integer first).
+bool JoinKeysHashable(const RowsRef& left, const RowsRef& right,
+                      const std::vector<std::pair<size_t, size_t>>& key_pairs) {
+  for (const auto& [lc, rc] : key_pairs) {
+    bool real[2] = {false, false};
+    bool wide[2] = {false, false};
+    for (int side = 0; side < 2; ++side) {
+      const size_t col = side == 0 ? lc : rc;
+      for (const Row& row : side == 0 ? left : right) {
+        const Value& v = row[col];
+        if (v.is_real()) {
+          if (std::isnan(v.AsReal())) {
+            return false;
+          }
+          real[side] = true;
+        } else if (WideInt(v)) {
+          wide[side] = true;
+        }
+      }
+    }
+    if ((real[0] && wide[1]) || (wide[0] && real[1])) {
+      return false;
+    }
+  }
+  return true;
+}
+
 }  // namespace
 
 void TimeBound::TightenLo(int64_t v, bool strict) {
@@ -1840,7 +1870,8 @@ Result<QueryResult> Executor::ExecuteSelect(const SelectStmt& stmt,
         }
       }
 
-      if (hash_ok && !key_pairs.empty()) {
+      if (hash_ok && !key_pairs.empty() &&
+          JoinKeysHashable(rel.Rows(), right->Rows(), key_pairs)) {
         SEAL_OBS_COUNTER("seadb_joins_total{algo=\"hash\"}").Increment();
         // Hash join. Buckets keep right-row insertion order, so the emitted
         // pairs match the nested-loop order exactly; NULL keys never match
@@ -2116,15 +2147,17 @@ Result<QueryResult> Executor::ExecuteSelect(const SelectStmt& stmt,
       }
       it->second.push_back(r);
     }
+    Row null_row;
     if (stmt.group_by.empty() && groups.empty()) {
-      // Aggregates over an empty relation still produce one row.
+      // Aggregates over an empty relation still produce one row; its bare
+      // columns read NULL, as in SQLite.
       groups.emplace("", std::vector<size_t>{});
       group_order.push_back("");
+      null_row.resize(rel.columns.size());
     }
     for (const std::string& key : group_order) {
       const std::vector<size_t>& indices = groups[key];
-      static const Row kEmptyRow;
-      const Row& representative = indices.empty() ? kEmptyRow : rel.Rows()[indices[0]];
+      const Row& representative = indices.empty() ? null_row : rel.Rows()[indices[0]];
       GroupContext group{&rel, &indices};
       if (stmt.having != nullptr) {
         scopes.back().row = &representative;

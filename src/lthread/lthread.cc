@@ -1,6 +1,9 @@
 #include "src/lthread/lthread.h"
 
+#include <sys/mman.h>
+
 #include <cassert>
+#include <new>
 
 #include "src/common/clock.h"
 
@@ -12,12 +15,27 @@ thread_local Task* t_current = nullptr;
 }  // namespace
 
 Task::Task(Scheduler* scheduler, uint64_t id, std::function<void()> fn, size_t stack_size)
-    : scheduler_(scheduler), id_(id), fn_(std::move(fn)), stack_(stack_size) {
+    : scheduler_(scheduler), id_(id), fn_(std::move(fn)), stack_size_(stack_size) {
+  stack_ = mmap(nullptr, stack_size_, PROT_READ | PROT_WRITE,
+                MAP_PRIVATE | MAP_ANONYMOUS | MAP_NORESERVE | MAP_STACK, -1, 0);
+  if (stack_ == MAP_FAILED) {
+    stack_ = nullptr;
+    throw std::bad_alloc();
+  }
   getcontext(&context_);
-  context_.uc_stack.ss_sp = stack_.data();
-  context_.uc_stack.ss_size = stack_.size();
+  context_.uc_stack.ss_sp = stack_;
+  context_.uc_stack.ss_size = stack_size_;
   context_.uc_link = nullptr;  // we always swap back explicitly
   makecontext(&context_, reinterpret_cast<void (*)()>(&Task::Trampoline), 0);
+}
+
+Task::~Task() { ReleaseStack(); }
+
+void Task::ReleaseStack() {
+  if (stack_ != nullptr) {
+    munmap(stack_, stack_size_);
+    stack_ = nullptr;
+  }
 }
 
 void Task::Trampoline() {
@@ -49,6 +67,7 @@ void Scheduler::SwitchTo(Task* task) {
   switch (task->state_) {
     case Task::State::kFinished:
       --live_;
+      task->ReleaseStack();
       break;
     case Task::State::kRunning:  // swapped out without setting a state
       task->state_ = Task::State::kRunnable;

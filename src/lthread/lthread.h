@@ -40,6 +40,10 @@ class Task {
  public:
   enum class State { kRunnable, kRunning, kBlocked, kFinished };
 
+  ~Task();
+  Task(const Task&) = delete;
+  Task& operator=(const Task&) = delete;
+
   State state() const { return state_; }
   uint64_t id() const { return id_; }
 
@@ -61,6 +65,8 @@ class Task {
   Task(Scheduler* scheduler, uint64_t id, std::function<void()> fn, size_t stack_size);
 
   static void Trampoline();
+  // Unmaps the stack; called once the task has finished and switched off it.
+  void ReleaseStack();
 
   Scheduler* scheduler_;
   uint64_t id_;
@@ -72,7 +78,11 @@ class Task {
   // Set by MakeRunnableFromAnyThread; consumed on the scheduler thread
   // (mailbox drain, or SwitchTo when the wake raced the task blocking).
   std::atomic<bool> wake_pending_{false};
-  std::vector<uint8_t> stack_;
+  // An anonymous mapping reserved at Spawn but backed page by page on first
+  // touch, so a task costs only the stack depth it reached; unmapped when
+  // the task finishes, before the Task object itself is compacted away.
+  void* stack_ = nullptr;
+  size_t stack_size_ = 0;
   ucontext_t context_;
 };
 

@@ -9,8 +9,7 @@ HttpServer::HttpServer(net::Network* network, Options options, ServerTransport* 
     : network_(network),
       options_(std::move(options)),
       transport_(transport),
-      handler_(std::move(handler)),
-      pool_(ConnectionWorkerPool::Options{options_.worker_threads, "http_server"}) {}
+      handler_(std::move(handler)) {}
 
 HttpServer::~HttpServer() { Stop(); }
 
@@ -21,13 +20,8 @@ Status HttpServer::Start() {
   }
   listener_ = *listener;
   running_.store(true, std::memory_order_release);
-  if (options_.event_driven) {
-    reactor_ = std::make_unique<Reactor>(Reactor::Options{
-        options_.reactor_threads, options_.reactor_task_stack_size, "reactor"});
-    reactor_->Start();
-  } else {
-    pool_.Start();
-  }
+  reactor_ = std::make_unique<Reactor>();
+  reactor_->Start();
   accept_thread_ = std::thread([this] { AcceptLoop(); });
   return Status::Ok();
 }
@@ -41,40 +35,10 @@ void HttpServer::Stop() {
   if (accept_thread_.joinable()) {
     accept_thread_.join();
   }
-  // Unwedge workers/tasks parked in a read on an idle keep-alive
-  // connection BEFORE joining them: their next read returns EOF and the
-  // serve loop exits. Without this, Stop() hangs behind any idle client.
-  AbortLiveConnections();
-  if (reactor_ != nullptr) {
-    reactor_->Stop();
-    reactor_.reset();
-  } else {
-    pool_.Stop();
-  }
-}
-
-bool HttpServer::RegisterConnection(net::Stream* stream) {
-  std::lock_guard<std::mutex> lock(conns_mutex_);
-  if (!running_.load(std::memory_order_acquire)) {
-    return false;  // Stop already swept the registry; don't serve
-  }
-  live_conns_.insert(stream);
-  return true;
-}
-
-void HttpServer::DeregisterConnection(net::Stream* stream) {
-  std::lock_guard<std::mutex> lock(conns_mutex_);
-  live_conns_.erase(stream);
-}
-
-void HttpServer::AbortLiveConnections() {
-  // Abort under the registry lock: a stream present in the set cannot be
-  // destroyed concurrently, because its server deregisters (same lock)
-  // before destroying it.
-  std::lock_guard<std::mutex> lock(conns_mutex_);
-  for (net::Stream* stream : live_conns_) {
-    stream->Abort();
-  }
+  // Wakes every task parked on an idle keep-alive connection (its read
+  // returns EOF) and runs them all to completion.
+  reactor_->Stop();
+  reactor_.reset();
 }
 
 void HttpServer::AcceptLoop() {
@@ -83,23 +47,11 @@ void HttpServer::AcceptLoop() {
     if (stream == nullptr) {
       return;  // shut down
     }
-    if (reactor_ != nullptr) {
-      reactor_->Serve(std::move(stream),
-                      [this](net::StreamPtr s) { ServeConnection(std::move(s)); });
-    } else {
-      // shared_ptr because std::function requires a copyable callable.
-      auto s = std::make_shared<net::StreamPtr>(std::move(stream));
-      pool_.Submit([this, s] { ServeConnection(std::move(*s)); });
-    }
+    reactor_->Serve(std::move(stream), [this](net::StreamPtr s) { ServeConnection(std::move(s)); });
   }
 }
 
 void HttpServer::ServeConnection(net::StreamPtr stream) {
-  net::Stream* raw = stream.get();
-  if (!RegisterConnection(raw)) {
-    stream->Abort();
-    return;
-  }
   std::unique_ptr<ServerConnection> conn = transport_->Wrap(std::move(stream));
   if (conn->Handshake() == 1) {
     for (;;) {
@@ -134,9 +86,6 @@ void HttpServer::ServeConnection(net::StreamPtr stream) {
     }
     conn->Close();
   }
-  // Deregister before the stream dies (conn owns it): after this line
-  // Stop() can no longer see the pointer, so it never aborts freed pipes.
-  DeregisterConnection(raw);
 }
 
 }  // namespace seal::services

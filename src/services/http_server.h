@@ -1,16 +1,12 @@
 // A multi-threaded HTTPS server, the stand-in for Apache in the paper's
-// evaluation: keep-alive, handler-based dispatch, and two connection
-// models — a bounded blocking worker pool (thread per active connection)
-// or the event-driven reactor (Options::event_driven), which multiplexes
-// every connection onto a few lthread-scheduler threads.
+// evaluation: keep-alive and handler-based dispatch, with every connection
+// served by a cooperative task on the reactor (one shard thread per core).
 #ifndef SRC_SERVICES_HTTP_SERVER_H_
 #define SRC_SERVICES_HTTP_SERVER_H_
 
 #include <atomic>
 #include <functional>
 #include <memory>
-#include <mutex>
-#include <set>
 #include <string>
 #include <thread>
 
@@ -19,7 +15,6 @@
 #include "src/net/net.h"
 #include "src/services/reactor.h"
 #include "src/services/transport.h"
-#include "src/services/worker_pool.h"
 
 namespace seal::services {
 
@@ -32,15 +27,6 @@ class HttpServer {
     // Simulated per-request server-side compute (models the PHP engine
     // bottleneck in the ownCloud deployment, §6.4).
     int64_t per_request_compute_nanos = 0;
-    // Blocking mode: connection-serving worker threads, the hard bound on
-    // concurrent connections (excess accepted connections queue).
-    size_t worker_threads = 16;
-    // Event-driven mode: serve all connections on `reactor_threads`
-    // lthread schedulers, one cooperative task per connection. Concurrency
-    // is then bounded by memory (task stacks), not by thread count.
-    bool event_driven = false;
-    size_t reactor_threads = 2;
-    size_t reactor_task_stack_size = 128 * 1024;
   };
 
   HttpServer(net::Network* network, Options options, ServerTransport* transport,
@@ -52,21 +38,15 @@ class HttpServer {
 
   uint64_t requests_served() const { return requests_served_.load(std::memory_order_relaxed); }
 
-  // Live connection-serving threads; stays at the configured bound no
-  // matter how many connections have been accepted.
+  // Connection-serving threads (the reactor's shards) while running; fixed
+  // no matter how many connections have been accepted.
   size_t worker_thread_count() const {
-    return reactor_ != nullptr ? options_.reactor_threads : pool_.worker_count();
+    return reactor_ != nullptr ? reactor_->shard_count() : 0;
   }
 
  private:
   void AcceptLoop();
   void ServeConnection(net::StreamPtr stream);
-  // Live-connection registry: lets Stop() abort streams that workers (or
-  // reactor tasks) are parked in, so shutdown never wedges behind an idle
-  // keep-alive connection.
-  bool RegisterConnection(net::Stream* stream);
-  void DeregisterConnection(net::Stream* stream);
-  void AbortLiveConnections();
 
   net::Network* network_;
   Options options_;
@@ -75,13 +55,9 @@ class HttpServer {
 
   std::shared_ptr<net::Listener> listener_;
   std::thread accept_thread_;
-  ConnectionWorkerPool pool_;
   std::unique_ptr<Reactor> reactor_;
   std::atomic<bool> running_{false};
   std::atomic<uint64_t> requests_served_{0};
-
-  std::mutex conns_mutex_;
-  std::set<net::Stream*> live_conns_;
 };
 
 }  // namespace seal::services

@@ -9,8 +9,7 @@ namespace seal::services {
 ProxyServer::ProxyServer(net::Network* network, Options options, ServerTransport* transport)
     : network_(network),
       options_(std::move(options)),
-      transport_(transport),
-      pool_(ConnectionWorkerPool::Options{options_.worker_threads, "proxy"}) {}
+      transport_(transport) {}
 
 ProxyServer::~ProxyServer() { Stop(); }
 
@@ -21,13 +20,8 @@ Status ProxyServer::Start() {
   }
   listener_ = *listener;
   running_.store(true, std::memory_order_release);
-  if (options_.event_driven) {
-    reactor_ = std::make_unique<Reactor>(Reactor::Options{
-        options_.reactor_threads, options_.reactor_task_stack_size, "reactor"});
-    reactor_->Start();
-  } else {
-    pool_.Start();
-  }
+  reactor_ = std::make_unique<Reactor>();
+  reactor_->Start();
   accept_thread_ = std::thread([this] { AcceptLoop(); });
   return Status::Ok();
 }
@@ -41,39 +35,10 @@ void ProxyServer::Stop() {
   if (accept_thread_.joinable()) {
     accept_thread_.join();
   }
-  // Unblock workers/tasks parked in a read on either leg of an idle
-  // proxied connection; without this Stop() hangs behind any idle client.
-  AbortLiveConnections();
-  if (reactor_ != nullptr) {
-    reactor_->Stop();
-    reactor_.reset();
-  } else {
-    pool_.Stop();
-  }
-}
-
-bool ProxyServer::RegisterConnection(net::Stream* stream) {
-  std::lock_guard<std::mutex> lock(conns_mutex_);
-  if (!running_.load(std::memory_order_acquire)) {
-    return false;
-  }
-  live_conns_.insert(stream);
-  return true;
-}
-
-void ProxyServer::DeregisterConnection(net::Stream* stream) {
-  std::lock_guard<std::mutex> lock(conns_mutex_);
-  live_conns_.erase(stream);
-}
-
-void ProxyServer::AbortLiveConnections() {
-  // Abort under the registry lock: a stream present in the set cannot be
-  // destroyed concurrently (deregistration takes the same lock and happens
-  // before the stream dies).
-  std::lock_guard<std::mutex> lock(conns_mutex_);
-  for (net::Stream* stream : live_conns_) {
-    stream->Abort();
-  }
+  // Wakes every task parked on either leg of an idle proxied connection
+  // (its read returns EOF) and runs them all to completion.
+  reactor_->Stop();
+  reactor_.reset();
 }
 
 void ProxyServer::AcceptLoop() {
@@ -82,26 +47,13 @@ void ProxyServer::AcceptLoop() {
     if (stream == nullptr) {
       return;
     }
-    if (reactor_ != nullptr) {
-      reactor_->Serve(std::move(stream),
-                      [this](net::StreamPtr s) { ServeConnection(std::move(s)); });
-    } else {
-      // shared_ptr because std::function requires a copyable callable.
-      auto s = std::make_shared<net::StreamPtr>(std::move(stream));
-      pool_.Submit([this, s] { ServeConnection(std::move(*s)); });
-    }
+    reactor_->Serve(std::move(stream), [this](net::StreamPtr s) { ServeConnection(std::move(s)); });
   }
 }
 
 void ProxyServer::ServeConnection(net::StreamPtr stream) {
-  net::Stream* raw_downstream = stream.get();
-  if (!RegisterConnection(raw_downstream)) {
-    stream->Abort();
-    return;
-  }
   std::unique_ptr<ServerConnection> downstream = transport_->Wrap(std::move(stream));
   if (downstream->Handshake() != 1) {
-    DeregisterConnection(raw_downstream);
     return;
   }
   // Second TLS leg to the origin (this is what makes Squid slower than
@@ -109,22 +61,11 @@ void ProxyServer::ServeConnection(net::StreamPtr stream) {
   auto dialed = network_->Dial(options_.upstream_address, options_.upstream_latency_nanos);
   if (!dialed.ok()) {
     downstream->Close();
-    DeregisterConnection(raw_downstream);
     return;
   }
-  net::StreamPtr upstream_stream = std::move(*dialed);
-  if (reactor_ != nullptr) {
-    // On a reactor task the upstream leg must cooperate too: a blocking
-    // upstream read would park the whole shard thread.
-    upstream_stream = reactor_->MakeCooperative(std::move(upstream_stream));
-  }
-  net::Stream* raw_upstream = upstream_stream.get();
-  if (!RegisterConnection(raw_upstream)) {
-    upstream_stream->Abort();
-    downstream->Close();
-    DeregisterConnection(raw_downstream);
-    return;
-  }
+  // The upstream leg must cooperate too: a blocking upstream read would
+  // park the whole shard thread.
+  net::StreamPtr upstream_stream = reactor_->MakeCooperative(std::move(*dialed));
 
   // The upstream leg runs either through LibSEAL (the paper's deployment:
   // one TLS library for the whole proxy) or through plain TLS.
@@ -206,10 +147,6 @@ void ProxyServer::ServeConnection(net::StreamPtr stream) {
     options_.upstream_runtime->SslFree(seal_upstream);
   }
   downstream->Close();
-  // Deregister both legs before their streams die (upstream_stream at
-  // scope exit, downstream inside `downstream`'s destructor).
-  DeregisterConnection(raw_upstream);
-  DeregisterConnection(raw_downstream);
 }
 
 }  // namespace seal::services

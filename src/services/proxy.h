@@ -3,16 +3,13 @@
 // plain TLS or LibSEAL, opens a second TLS connection to the origin, and
 // relays complete HTTP messages in both directions -- so a LibSEAL-linked
 // proxy audits every request/response pair crossing it. Serves connections
-// on a bounded blocking worker pool or, with Options::event_driven, on the
-// reactor (both legs of a proxied connection then cooperate on one task).
+// on the reactor; both legs of a proxied connection cooperate on one task.
 #ifndef SRC_SERVICES_PROXY_H_
 #define SRC_SERVICES_PROXY_H_
 
 #include <atomic>
 #include <functional>
 #include <memory>
-#include <mutex>
-#include <set>
 #include <string>
 #include <thread>
 
@@ -20,7 +17,6 @@
 #include "src/net/net.h"
 #include "src/services/reactor.h"
 #include "src/services/transport.h"
-#include "src/services/worker_pool.h"
 #include "src/tls/tls.h"
 
 namespace seal::services {
@@ -40,13 +36,6 @@ class ProxyServer {
     // The runtime's TlsConfig then governs the upstream handshake too
     // (its trusted_roots / verify_peer apply); `upstream_tls` is unused.
     core::LibSealRuntime* upstream_runtime = nullptr;
-    // Blocking mode: connection-serving worker threads, the hard bound on
-    // concurrent proxied connections (excess accepted connections queue).
-    size_t worker_threads = 16;
-    // Event-driven mode: see HttpServer::Options.
-    bool event_driven = false;
-    size_t reactor_threads = 2;
-    size_t reactor_task_stack_size = 128 * 1024;
   };
 
   ProxyServer(net::Network* network, Options options, ServerTransport* transport);
@@ -57,20 +46,15 @@ class ProxyServer {
 
   uint64_t requests_proxied() const { return requests_proxied_.load(std::memory_order_relaxed); }
 
-  // Live connection-serving threads; stays at the configured bound no
-  // matter how many connections have been accepted.
+  // Connection-serving threads (the reactor's shards) while running; fixed
+  // no matter how many connections have been accepted.
   size_t worker_thread_count() const {
-    return reactor_ != nullptr ? options_.reactor_threads : pool_.worker_count();
+    return reactor_ != nullptr ? reactor_->shard_count() : 0;
   }
 
  private:
   void AcceptLoop();
   void ServeConnection(net::StreamPtr stream);
-  // Live-connection registry (both legs): Stop() aborts registered streams
-  // so no worker/task stays parked in a downstream OR upstream read.
-  bool RegisterConnection(net::Stream* stream);
-  void DeregisterConnection(net::Stream* stream);
-  void AbortLiveConnections();
 
   net::Network* network_;
   Options options_;
@@ -78,13 +62,9 @@ class ProxyServer {
 
   std::shared_ptr<net::Listener> listener_;
   std::thread accept_thread_;
-  ConnectionWorkerPool pool_;
   std::unique_ptr<Reactor> reactor_;
   std::atomic<bool> running_{false};
   std::atomic<uint64_t> requests_proxied_{0};
-
-  std::mutex conns_mutex_;
-  std::set<net::Stream*> live_conns_;
 };
 
 }  // namespace seal::services

@@ -1,6 +1,7 @@
 #include "src/services/reactor.h"
 
 #include <algorithm>
+#include <string>
 
 #include "src/common/clock.h"
 #include "src/obs/obs.h"
@@ -128,7 +129,7 @@ class CooperativeStream : public net::Stream {
   bool has_write_watch_ = false;
 };
 
-Reactor::Reactor(Options options) : options_(std::move(options)) {}
+Reactor::Reactor() = default;
 
 Reactor::~Reactor() { Stop(); }
 
@@ -137,7 +138,8 @@ void Reactor::Start() {
     return;
   }
   stopping_.store(false, std::memory_order_release);
-  for (size_t i = 0; i < std::max<size_t>(1, options_.threads); ++i) {
+  const size_t shards = std::max(1u, std::thread::hardware_concurrency());
+  for (size_t i = 0; i < shards; ++i) {
     shards_.push_back(std::make_unique<Shard>());
     Shard* shard = shards_.back().get();
     shard->reactor = this;
@@ -218,7 +220,7 @@ size_t Reactor::live_connections() const {
 
 void Reactor::ShardLoop(Shard* shard) {
   obs::Gauge& tasks_gauge = obs::Registry::Global().GetGauge(
-      options_.name + "_tasks{thread=\"" + std::to_string(shard->index) + "\"}");
+      "reactor_tasks{thread=\"" + std::to_string(shard->index) + "\"}");
   for (;;) {
     // Adopt connections handed over by Serve().
     std::deque<std::shared_ptr<Pending>> incoming;
@@ -252,7 +254,7 @@ void Reactor::ShardLoop(Shard* shard) {
             std::lock_guard<std::mutex> lock(shard->mutex);
             shard->conns.erase(c->id);  // destroys the ConnCtx
           },
-          options_.task_stack_size);
+          kTaskStackSize);
       c->task->set_user_data(c);
       {
         std::lock_guard<std::mutex> lock(shard->mutex);

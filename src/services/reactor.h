@@ -1,15 +1,13 @@
-// Reactor: the event-driven connection core (ROADMAP item 1).
+// Reactor: the connection core of HttpServer and ProxyServer.
 //
 // The paper's §4.3 argument — OS threads are expensive under SGX, so run
 // many user-level lthreads per enclave thread — applies on the untrusted
-// side too: a blocking worker pool caps concurrency at pool size and wedges
-// shutdown behind any worker parked in a read. The reactor multiplexes ALL
-// accepted connections onto a small fixed set of OS threads ("shards"),
-// each owning one lthread::Scheduler with one cooperative task per
-// connection. A shared net::Poller (the epoll stand-in) watches every
-// connection's pipes; a task that would block parks with
-// lthread::Scheduler::Block() and is resumed via the scheduler's
-// cross-thread wakeup path when the poller reports readiness.
+// side too. The reactor multiplexes ALL accepted connections onto one OS
+// thread per core ("shards"), each owning one lthread::Scheduler with one
+// cooperative task per connection. A shared net::Poller (the epoll
+// stand-in) watches every connection's pipes; a task that would block
+// parks with lthread::Scheduler::Block() and is resumed via the
+// scheduler's cross-thread wakeup path when the poller reports readiness.
 //
 // Layering trick: instead of threading would-block returns up through the
 // TLS engine, accepted streams are wrapped in a CooperativeStream whose
@@ -19,6 +17,11 @@
 // context switch at the byte-transport boundary, exactly how the paper
 // routes enclave blocking through asyncall rather than through every
 // caller's signature.
+//
+// Only the byte transport cooperates. Any other wait on a task — a
+// synchronous enclave call, a logger drain, a forced check round — parks
+// the whole shard thread, which is why there is one shard per core rather
+// than a fixed two.
 #ifndef SRC_SERVICES_REACTOR_H_
 #define SRC_SERVICES_REACTOR_H_
 
@@ -29,7 +32,6 @@
 #include <map>
 #include <memory>
 #include <mutex>
-#include <string>
 #include <thread>
 #include <vector>
 
@@ -41,18 +43,11 @@ namespace seal::services {
 
 class Reactor {
  public:
-  struct Options {
-    // Shard (OS thread) count. Small and fixed by design; connections
-    // scale per shard, not per thread.
-    size_t threads = 2;
-    // Per-connection task stacks. Smaller than lthread's default: 20k+
-    // parked connections at 256 KiB each would be untenable.
-    size_t task_stack_size = 128 * 1024;
-    // Label for per-shard metrics: reactor_tasks{thread="N"}.
-    std::string name = "reactor";
-  };
+  // Per-connection task stack. Mapped lazily (lthread::Task), so a parked
+  // connection costs the pages its deepest call touched, not the whole size.
+  static constexpr size_t kTaskStackSize = 128 * 1024;
 
-  explicit Reactor(Options options);
+  Reactor();
   ~Reactor();
 
   Reactor(const Reactor&) = delete;
@@ -81,6 +76,10 @@ class Reactor {
   // Live connection tasks across all shards (tests).
   size_t live_connections() const;
 
+  // Shard threads while running: one per core reported by the host
+  // (std::thread::hardware_concurrency, 1 when it reports none).
+  size_t shard_count() const { return shards_.size(); }
+
   net::Poller* poller() { return &poller_; }
 
  private:
@@ -92,7 +91,6 @@ class Reactor {
   void ShardLoop(Shard* shard);
   bool stopping() const { return stopping_.load(std::memory_order_acquire); }
 
-  Options options_;
   net::Poller poller_;
   std::vector<std::unique_ptr<Shard>> shards_;
   std::atomic<bool> running_{false};

@@ -1,11 +1,11 @@
 // Shard-affine connection routing for a core::ShardSet (ROADMAP item 2).
 //
 // A ShardedTransport fronts N per-shard LibSealTransports behind the
-// ordinary ServerTransport interface, so HttpServer/ProxyServer (blocking
-// pool or reactor) need no changes: Wrap() returns a connection whose
-// Handshake() first PEEKS at the client's initial bytes, picks a shard,
-// pushes the untouched bytes back (net::Pipe::Unread) and then runs the
-// real handshake on the chosen shard's enclave.
+// ordinary ServerTransport interface, so HttpServer/ProxyServer need no
+// changes: Wrap() returns a connection whose Handshake() first PEEKS at the
+// client's initial bytes, picks a shard, pushes the untouched bytes back
+// (net::Pipe::Unread) and then runs the real handshake on the chosen
+// shard's enclave.
 //
 // Routing policy — why the session id, not the connection id: connection
 // ids are per-accept and carry no client identity, so hashing them cannot

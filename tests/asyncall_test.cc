@@ -65,6 +65,11 @@ TEST(AsyncCall, OnlyOneTransitionPairPerWorker) {
   options.enclave_threads = 2;
   AsyncCallRuntime runtime(&enclave, options);
   runtime.Start();
+  // Each worker enters as its thread starts; wait for both entries, or one
+  // worker can serve all 50 calls before the other thread has run at all.
+  for (int ms = 0; enclave.stats().ecalls < 2u && ms < 10000; ++ms) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
   for (int i = 0; i < 50; ++i) {
     ASSERT_TRUE(runtime.AsyncEcall(id, nullptr).ok());
   }

@@ -317,6 +317,25 @@ TEST_F(DbTest, AggregatesEmptyTable) {
   EXPECT_TRUE(r.rows[0][2].is_null());
 }
 
+// An aggregate that also projects a bare column, over no qualifying row:
+// the one output row reads NULL for the bare column, as in SQLite.
+TEST_F(DbTest, AggregateWithBareColumnOverNoRows) {
+  Exec(db_, "CREATE TABLE t(k, v)");
+  QueryResult r = Exec(db_, "SELECT COUNT(*), k FROM t");
+  ASSERT_EQ(r.rows.size(), 1u);
+  EXPECT_EQ(r.rows[0][0].AsInt(), 0);
+  EXPECT_TRUE(r.rows[0][1].is_null());
+  Exec(db_, "INSERT INTO t VALUES ('a', 1)");
+  r = Exec(db_, "SELECT k, v, SUM(v) FROM t WHERE v > 5");
+  ASSERT_EQ(r.rows.size(), 1u);
+  EXPECT_TRUE(r.rows[0][0].is_null());
+  EXPECT_TRUE(r.rows[0][1].is_null());
+  EXPECT_TRUE(r.rows[0][2].is_null());
+  r = Exec(db_, "SELECT COUNT(*) FROM t WHERE v > 5 HAVING k IS NULL");
+  ASSERT_EQ(r.rows.size(), 1u);
+  EXPECT_EQ(r.rows[0][0].AsInt(), 0);
+}
+
 TEST_F(DbTest, GroupBy) {
   Exec(db_, "CREATE TABLE t(k, v)");
   Exec(db_, "INSERT INTO t VALUES ('a', 1), ('a', 2), ('b', 5)");

@@ -1,7 +1,10 @@
 #include <gtest/gtest.h>
+#include <sys/mman.h>
+#include <unistd.h>
 
 #include <atomic>
 #include <chrono>
+#include <cstdint>
 #include <string>
 #include <thread>
 #include <vector>
@@ -120,6 +123,33 @@ TEST(Lthread, DeepCallStacksWork) {
   sched.Spawn([&] { result = fib(15); });
   sched.Run();
   EXPECT_EQ(result, 610);
+}
+
+// A task can use its whole stack, down to the bottom page, and the stack is
+// unmapped as soon as the task finishes.
+TEST(Lthread, FullStackIsUsableAndUnmappedAtTaskEnd) {
+  Scheduler sched;
+  constexpr size_t kStack = 64 * 1024;
+  constexpr size_t kBuffer = 48 * 1024;  // the rest covers the frames above
+  uintptr_t lowest = 0;
+  int sum = 0;
+  sched.Spawn(
+      [&] {
+        volatile uint8_t buffer[kBuffer];
+        for (size_t i = 0; i < kBuffer; ++i) {
+          buffer[i] = static_cast<uint8_t>(i);
+        }
+        for (size_t i = 0; i < kBuffer; i += 4096) {
+          sum += buffer[i];
+        }
+        lowest = reinterpret_cast<uintptr_t>(&buffer[0]);
+      },
+      kStack);
+  sched.Run();
+  EXPECT_EQ(sum, 0);  // every page start holds i % 256 == 0
+  const uintptr_t page_size = static_cast<uintptr_t>(sysconf(_SC_PAGESIZE));
+  void* page = reinterpret_cast<void*>(lowest & ~(page_size - 1));
+  EXPECT_NE(msync(page, page_size, MS_ASYNC), 0) << "stack still mapped after the task ended";
 }
 
 // --- cross-thread wakeup (the reactor's poller -> shard-thread path) ---

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <iterator>
 #include <numeric>
 #include <thread>
 
@@ -179,6 +180,13 @@ void ExpectEnginesAgree(db::Database& db, const std::string& sql,
   }
 }
 
+// Join keys the hash join cannot key the way Value::Compare matches them:
+// an integer beyond 2^53 equals kRoundedReal once rounded to double, and
+// NaN compares equal to every number.
+const std::string kWideInt = "9007199254740993";
+const std::string kRoundedReal = "9007199254740992.0";
+const std::string kNaN = "('nan' + 0)";
+
 class EngineDifferential : public ::testing::TestWithParam<uint64_t> {};
 
 TEST_P(EngineDifferential, RandomSelectsByteIdenticalAcrossEngines) {
@@ -198,6 +206,9 @@ TEST_P(EngineDifferential, RandomSelectsByteIdenticalAcrossEngines) {
         break;
       case 1:
         b = std::to_string(rng.Range(-8, 8)) + ".25";  // exact in binary
+        break;
+      case 2:
+        b = rng.Range(0, 3) == 0 ? kRoundedReal : std::to_string(rng.Range(-40, 40));
         break;
       default:
         b = std::to_string(rng.Range(-40, 40));
@@ -219,7 +230,17 @@ TEST_P(EngineDifferential, RandomSelectsByteIdenticalAcrossEngines) {
   }
   const int64_t n2 = rng.Range(0, 25);
   for (int64_t i = 0; i < n2; ++i) {
-    std::string c = rng.Range(0, 5) == 0 ? "NULL" : std::to_string(rng.Range(-20, 20));
+    std::string c;
+    switch (rng.Range(0, 8)) {
+      case 0:
+        c = "NULL";
+        break;
+      case 1:
+        c = rng.Range(0, 2) == 0 ? kWideInt : kNaN;
+        break;
+      default:
+        c = std::to_string(rng.Range(-20, 20));
+    }
     ASSERT_TRUE(db.Execute("INSERT INTO t2 VALUES (" + std::to_string(i + 1) + ", " +
                            std::to_string(rng.Range(0, 5)) + ", " + c + ")")
                     .ok());
@@ -233,7 +254,7 @@ TEST_P(EngineDifferential, RandomSelectsByteIdenticalAcrossEngines) {
   std::vector<std::string> queries = {
       "SELECT a, b, s FROM t1",
       "SELECT DISTINCT a FROM t1",
-      "SELECT a, b FROM t1 WHERE b " + std::string(kCmp[rng.Range(0, 6)]) + " " +
+      "SELECT a, b FROM t1 WHERE b " + std::string(kCmp[rng.Below(std::size(kCmp))]) + " " +
           std::to_string(rng.Range(-10, 10)),
       "SELECT a, b FROM t1 WHERE b BETWEEN " + std::to_string(rng.Range(-20, 0)) + " AND " +
           std::to_string(rng.Range(0, 20)) + " ORDER BY b DESC, a LIMIT 9",
@@ -304,22 +325,26 @@ TEST_P(EngineDifferential, SubqueryRewritesByteIdenticalAcrossEngines) {
   SplitMix64 rng(seed * 7919 + 1);
   db::Database db;
   // hist: nondecreasing times with duplicates (a time-sorted snapshot),
-  // keys mixing NULL, integers and integral/non-integral reals.
+  // keys mixing NULL, integers (one beyond 2^53) and integral/non-integral
+  // reals.
   ASSERT_TRUE(db.Execute("CREATE TABLE hist(time, k1, k2, v)").ok());
   // shuffled: the same shape inserted out of time order, so a snapshot is
   // not time-sorted while the live index stays valid.
   ASSERT_TRUE(db.Execute("CREATE TABLE shuffled(time, k1, v)").ok());
-  // probe: outer rows whose bound is an integer, NULL or a real.
+  // probe: outer rows whose bound is an integer, NULL or a real, and whose
+  // k1 may also be NaN.
   ASSERT_TRUE(db.Execute("CREATE TABLE probe(time, k1, k2)").ok());
   ASSERT_TRUE(db.Execute("CREATE TABLE t2(time, a, c)").ok());
   auto key1 = [&]() -> std::string {
-    switch (rng.Range(0, 6)) {
+    switch (rng.Range(0, 8)) {
       case 0:
         return "NULL";
       case 1:
         return std::to_string(rng.Range(0, 3)) + ".0";
       case 2:
         return "1.5";
+      case 3:
+        return rng.Range(0, 2) == 0 ? kWideInt : kRoundedReal;
       default:
         return std::to_string(rng.Range(0, 3));
     }
@@ -352,13 +377,13 @@ TEST_P(EngineDifferential, SubqueryRewritesByteIdenticalAcrossEngines) {
       default:
         bound = std::to_string(rng.Range(0, time + 2));
     }
+    const std::string k1 = rng.Range(0, 8) == 0 ? kNaN : key1();
     ASSERT_TRUE(
-        db.Execute("INSERT INTO probe VALUES (" + bound + ", " + key1() + ", " + key2() + ")")
-            .ok());
+        db.Execute("INSERT INTO probe VALUES (" + bound + ", " + k1 + ", " + key2() + ")").ok());
   }
   for (int64_t i = 0; i < rng.Range(0, 10); ++i) {
-    ASSERT_TRUE(db.Execute("INSERT INTO t2 VALUES (" + std::to_string(i + 1) + ", " +
-                           std::to_string(rng.Range(0, 4)) + ", " +
+    const std::string a = rng.Range(0, 6) == 0 ? kRoundedReal : std::to_string(rng.Range(0, 4));
+    ASSERT_TRUE(db.Execute("INSERT INTO t2 VALUES (" + std::to_string(i + 1) + ", " + a + ", " +
                            std::to_string(rng.Range(0, 40)) + ")")
                     .ok());
   }

@@ -1,11 +1,11 @@
-// Event-driven connection core: HttpServer/ProxyServer on the reactor
-// (Options::event_driven), cooperative lthread tasks multiplexed onto a
-// small fixed set of OS threads by the poller. Covers TLS-over-reactor,
-// idle keep-alive scaling past the thread count, blocking-vs-event-driven
-// equivalence on the same request trace, LibSEAL behind the reactor (the
-// asyncall cooperative path), and prompt shutdown with parked connections.
+// The connection core: HttpServer/ProxyServer on the reactor, cooperative
+// lthread tasks multiplexed onto one OS thread per core by the poller.
+// Covers TLS-over-reactor, idle keep-alive scaling past the thread count,
+// LibSEAL behind the reactor (the asyncall cooperative path), and prompt
+// shutdown with parked connections.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <future>
@@ -56,21 +56,16 @@ tls::TlsConfig ClientTlsConfig() {
   return config;
 }
 
-HttpServer::Options EventDriven(const std::string& address) {
-  HttpServer::Options options;
-  options.address = address;
-  options.event_driven = true;
-  options.reactor_threads = 2;
-  return options;
-}
+// The reactor's shard count: one per core.
+size_t Shards() { return std::max(1u, std::thread::hardware_concurrency()); }
 
 TEST(ReactorHttpTest, ServesOverTls) {
   net::Network network;
   tls::TlsConfig server_tls = ServerTlsConfig();
   PlainTransport transport(server_tls);
-  HttpServer server(&network, EventDriven("web:443"), &transport, ServeStaticContent);
+  HttpServer server(&network, {.address = "web:443"}, &transport, ServeStaticContent);
   ASSERT_TRUE(server.Start().ok());
-  EXPECT_EQ(server.worker_thread_count(), 2u);
+  EXPECT_EQ(server.worker_thread_count(), Shards());
 
   tls::TlsConfig client_tls = ClientTlsConfig();
   auto rsp = OneShotRequest(&network, "web:443", client_tls, MakeContentRequest(512));
@@ -85,7 +80,7 @@ TEST(ReactorHttpTest, KeepAliveManyRequests) {
   net::Network network;
   tls::TlsConfig server_tls = ServerTlsConfig();
   PlainTransport transport(server_tls);
-  HttpServer server(&network, EventDriven("web:443"), &transport, ServeStaticContent);
+  HttpServer server(&network, {.address = "web:443"}, &transport, ServeStaticContent);
   ASSERT_TRUE(server.Start().ok());
   tls::TlsConfig client_tls = ClientTlsConfig();
   auto client = HttpsClient::Connect(&network, "web:443", client_tls);
@@ -107,27 +102,27 @@ TEST(ReactorHttpTest, IdleConnectionsExceedThreadCount) {
   net::Network network;
   tls::TlsConfig server_tls = ServerTlsConfig();
   PlainTransport transport(server_tls);
-  HttpServer server(&network, EventDriven("web:443"), &transport, ServeStaticContent);
+  HttpServer server(&network, {.address = "web:443"}, &transport, ServeStaticContent);
   ASSERT_TRUE(server.Start().ok());
   tls::TlsConfig client_tls = ClientTlsConfig();
 
-  constexpr int kConns = 64;  // 32x the reactor's 2 threads
+  const size_t kConns = std::max<size_t>(64, 8 * Shards());
   std::vector<std::unique_ptr<HttpsClient>> clients;
-  for (int i = 0; i < kConns; ++i) {
+  for (size_t i = 0; i < kConns; ++i) {
     auto client = HttpsClient::Connect(&network, "web:443", client_tls);
     ASSERT_TRUE(client.ok()) << client.status().ToString();
     auto rsp = (*client)->RoundTrip(MakeContentRequest(32, /*keep_alive=*/true));
     ASSERT_TRUE(rsp.ok()) << rsp.status().ToString();
     clients.push_back(std::move(*client));
   }
-  // All kConns connections are now open and idle at once on 2 threads.
-  EXPECT_EQ(server.worker_thread_count(), 2u);
+  // All kConns connections are now open and idle at once on the shards.
+  EXPECT_EQ(server.worker_thread_count(), Shards());
   // Every one of them is still live: a second request round-trips.
   for (auto& client : clients) {
     auto rsp = client->RoundTrip(MakeContentRequest(8, /*keep_alive=*/true));
     ASSERT_TRUE(rsp.ok()) << rsp.status().ToString();
   }
-  EXPECT_EQ(server.requests_served(), static_cast<uint64_t>(2 * kConns));
+  EXPECT_EQ(server.requests_served(), 2 * kConns);
   for (auto& client : clients) {
     client->Close();
   }
@@ -144,7 +139,7 @@ TEST(ReactorHttpTest, ConcurrentClientThreads) {
   net::Network network;
   tls::TlsConfig server_tls = ServerTlsConfig();
   PlainTransport transport(server_tls);
-  HttpServer server(&network, EventDriven("web:443"), &transport, ServeStaticContent);
+  HttpServer server(&network, {.address = "web:443"}, &transport, ServeStaticContent);
   ASSERT_TRUE(server.Start().ok());
   tls::TlsConfig client_tls = ClientTlsConfig();
   constexpr int kClients = 8;
@@ -164,70 +159,13 @@ TEST(ReactorHttpTest, ConcurrentClientThreads) {
   EXPECT_EQ(server.requests_served(), static_cast<uint64_t>(kClients * 5));
 }
 
-// Replays one request trace through both connection models and demands
-// byte-identical responses: the reactor must be observationally equivalent
-// to the blocking pool.
-TEST(ReactorHttpTest, BlockingVsEventDrivenEquivalence) {
-  struct TraceEntry {
-    size_t size;
-    bool keep_alive;
-  };
-  const std::vector<TraceEntry> trace = {
-      {0, true},  {1, true},   {64, false},  {512, true}, {313, true},
-      {2, false}, {100, true}, {4096, true}, {7, true},   {32, false},
-  };
-
-  auto replay = [&](bool event_driven) {
-    net::Network network;
-    tls::TlsConfig server_tls = ServerTlsConfig();
-    PlainTransport transport(server_tls);
-    HttpServer::Options options;
-    options.address = "web:443";
-    options.event_driven = event_driven;
-    HttpServer server(&network, options, &transport, ServeStaticContent);
-    EXPECT_TRUE(server.Start().ok());
-    tls::TlsConfig client_tls = ClientTlsConfig();
-
-    std::vector<std::pair<int, std::string>> results;
-    std::unique_ptr<HttpsClient> client;
-    for (const TraceEntry& entry : trace) {
-      if (client == nullptr) {
-        auto connected = HttpsClient::Connect(&network, "web:443", client_tls);
-        EXPECT_TRUE(connected.ok()) << connected.status().ToString();
-        client = std::move(*connected);
-      }
-      auto rsp = client->RoundTrip(MakeContentRequest(entry.size, entry.keep_alive));
-      EXPECT_TRUE(rsp.ok()) << rsp.status().ToString();
-      results.emplace_back(rsp.ok() ? rsp->status : -1, rsp.ok() ? rsp->body : "");
-      if (!entry.keep_alive) {
-        client.reset();  // server closed; dial fresh for the next entry
-      }
-    }
-    if (client != nullptr) {
-      client->Close();
-    }
-    uint64_t served = server.requests_served();
-    server.Stop();
-    EXPECT_EQ(served, trace.size());
-    return results;
-  };
-
-  auto blocking = replay(false);
-  auto event_driven = replay(true);
-  ASSERT_EQ(blocking.size(), event_driven.size());
-  for (size_t i = 0; i < blocking.size(); ++i) {
-    EXPECT_EQ(blocking[i].first, event_driven[i].first) << "entry " << i;
-    EXPECT_EQ(blocking[i].second, event_driven[i].second) << "entry " << i;
-  }
-}
-
 // Stop() with idle keep-alive connections parked on reactor tasks must
 // complete promptly (the tasks are woken, observe stopping, and exit).
 TEST(ReactorHttpTest, StopCompletesWithIdleKeepAliveConnections) {
   net::Network network;
   tls::TlsConfig server_tls = ServerTlsConfig();
   PlainTransport transport(server_tls);
-  HttpServer server(&network, EventDriven("web:443"), &transport, ServeStaticContent);
+  HttpServer server(&network, {.address = "web:443"}, &transport, ServeStaticContent);
   ASSERT_TRUE(server.Start().ok());
   tls::TlsConfig client_tls = ClientTlsConfig();
 
@@ -250,7 +188,7 @@ TEST(ReactorHttpTest, ChurnDuringStop) {
   net::Network network;
   tls::TlsConfig server_tls = ServerTlsConfig();
   PlainTransport transport(server_tls);
-  HttpServer server(&network, EventDriven("web:443"), &transport, ServeStaticContent);
+  HttpServer server(&network, {.address = "web:443"}, &transport, ServeStaticContent);
   ASSERT_TRUE(server.Start().ok());
   tls::TlsConfig client_tls = ClientTlsConfig();
 
@@ -290,12 +228,12 @@ TEST(ReactorLibSealTest, GitServiceEventDriven) {
   ASSERT_TRUE(runtime.Init().ok());
   LibSealTransport transport(&runtime);
   GitBackend backend;
-  HttpServer server(&network, EventDriven("git:443"), &transport,
+  HttpServer server(&network, {.address = "git:443"}, &transport,
                     [&](const http::HttpRequest& r) { return backend.Handle(r); });
   ASSERT_TRUE(server.Start().ok());
 
   tls::TlsConfig client_tls = ClientTlsConfig();
-  constexpr int kClients = 6;  // concurrent tasks sharing 2 shard threads
+  constexpr int kClients = 6;  // concurrent tasks sharing the shard threads
   std::vector<std::thread> threads;
   std::atomic<int> ok_count{0};
   for (int c = 0; c < kClients; ++c) {
@@ -336,14 +274,12 @@ TEST(ReactorProxyTest, EventDrivenProxyEndToEnd) {
   proxy_options.listen_address = "proxy:3128";
   proxy_options.upstream_address = "origin:443";
   proxy_options.upstream_tls = ClientTlsConfig();
-  proxy_options.event_driven = true;
-  proxy_options.reactor_threads = 2;
   ProxyServer proxy(&network, proxy_options, &proxy_transport);
   ASSERT_TRUE(proxy.Start().ok());
-  EXPECT_EQ(proxy.worker_thread_count(), 2u);
+  EXPECT_EQ(proxy.worker_thread_count(), Shards());
 
   tls::TlsConfig client_tls = ClientTlsConfig();
-  constexpr int kClients = 8;  // 4x the reactor's thread count, all live
+  constexpr int kClients = 8;  // all live at once
   std::vector<std::unique_ptr<HttpsClient>> clients;
   for (int i = 0; i < kClients; ++i) {
     auto client = HttpsClient::Connect(&network, "proxy:3128", client_tls);
@@ -379,7 +315,6 @@ TEST(ReactorProxyTest, StopCompletesWithIdleProxiedConnections) {
   proxy_options.listen_address = "proxy:3128";
   proxy_options.upstream_address = "origin:443";
   proxy_options.upstream_tls = ClientTlsConfig();
-  proxy_options.event_driven = true;
   ProxyServer proxy(&network, proxy_options, &proxy_transport);
   ASSERT_TRUE(proxy.Start().ok());
 

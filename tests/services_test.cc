@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
 #include <future>
 #include <thread>
@@ -234,22 +235,22 @@ TEST(HttpServerTest, PerRequestComputeSlowsResponses) {
 
 TEST(HttpServerTest, WorkerThreadCountStaysBounded) {
   // Regression: the old thread-per-connection server grew one std::thread
-  // per connection ever accepted, reaped only at Stop(). The worker pool
-  // must hold the thread count at the configured bound no matter how many
+  // per connection ever accepted, reaped only at Stop(). The reactor serves
+  // every connection on one shard thread per core, no matter how many
   // sequential connections are served.
   net::Network network;
   tls::TlsConfig server_tls = ServerTlsConfig();
   PlainTransport transport(server_tls);
-  HttpServer server(&network, {.address = "web:443", .worker_threads = 4}, &transport,
-                    ServeStaticContent);
+  HttpServer server(&network, {.address = "web:443"}, &transport, ServeStaticContent);
   ASSERT_TRUE(server.Start().ok());
-  EXPECT_EQ(server.worker_thread_count(), 4u);
+  const size_t shards = std::max(1u, std::thread::hardware_concurrency());
+  EXPECT_EQ(server.worker_thread_count(), shards);
   tls::TlsConfig client_tls = ClientTlsConfig();
   constexpr int kConnections = 50;
   for (int i = 0; i < kConnections; ++i) {
     auto rsp = OneShotRequest(&network, "web:443", client_tls, MakeContentRequest(32));
     ASSERT_TRUE(rsp.ok()) << rsp.status().ToString();
-    EXPECT_EQ(server.worker_thread_count(), 4u);
+    EXPECT_EQ(server.worker_thread_count(), shards);
   }
   EXPECT_EQ(server.requests_served(), static_cast<uint64_t>(kConnections));
   server.Stop();
@@ -319,28 +320,26 @@ TEST(ProxyTest, RelaysThroughTwoTlsLegs) {
   EXPECT_EQ(proxy.requests_proxied(), 2u);
 }
 
-// Regression (shutdown hang): a blocking-mode worker parked in Read on an
-// idle keep-alive connection used to wedge Stop() forever -- the worker
-// never returned to the pool, and pool_.Stop() joined it. Stop() now
-// aborts live connections first.
+// Regression (shutdown hang): a connection parked in Read on an idle
+// keep-alive connection used to wedge Stop() forever. Stop() now wakes it
+// with EOF before joining.
 TEST(HttpServerTest, StopCompletesWithIdleKeepAliveConnection) {
   net::Network network;
   tls::TlsConfig server_tls = ServerTlsConfig();
   PlainTransport transport(server_tls);
-  HttpServer server(&network, {.address = "web:443", .worker_threads = 2}, &transport,
-                    ServeStaticContent);
+  HttpServer server(&network, {.address = "web:443"}, &transport, ServeStaticContent);
   ASSERT_TRUE(server.Start().ok());
   tls::TlsConfig client_tls = ClientTlsConfig();
   auto client = HttpsClient::Connect(&network, "web:443", client_tls);
   ASSERT_TRUE(client.ok()) << client.status().ToString();
   ASSERT_TRUE((*client)->RoundTrip(MakeContentRequest(16, /*keep_alive=*/true)).ok());
-  // The connection stays open and idle; its worker is parked in Read.
+  // The connection stays open and idle; its task is parked in Read.
   auto stopped = std::async(std::launch::async, [&] { server.Stop(); });
   ASSERT_EQ(stopped.wait_for(std::chrono::seconds(10)), std::future_status::ready)
       << "Stop() hung behind an idle keep-alive connection";
 }
 
-// Same hang on the proxy: the worker is parked in a read on the downstream
+// Same hang on the proxy: the task is parked in a read on the downstream
 // leg (or the upstream leg) of an idle proxied connection.
 TEST(ProxyTest, StopCompletesWithIdleProxiedConnection) {
   net::Network network;
@@ -354,7 +353,6 @@ TEST(ProxyTest, StopCompletesWithIdleProxiedConnection) {
   proxy_options.listen_address = "proxy:3128";
   proxy_options.upstream_address = "origin:443";
   proxy_options.upstream_tls = ClientTlsConfig();
-  proxy_options.worker_threads = 2;
   ProxyServer proxy(&network, proxy_options, &proxy_transport);
   ASSERT_TRUE(proxy.Start().ok());
   tls::TlsConfig client_tls = ClientTlsConfig();
