@@ -1,7 +1,8 @@
 #include "src/core/checker.h"
 
+#include <optional>
+
 #include "src/common/clock.h"
-#include "src/common/log.h"
 #include "src/obs/obs.h"
 #include "src/sgx/enclave.h"
 
@@ -54,33 +55,11 @@ CheckerEngine::CheckerEngine(AuditLog* log, std::vector<Invariant> invariants,
 CheckerEngine::~CheckerEngine() { Stop(); }
 
 void CheckerEngine::Start() {
-  if (!options_.async) {
-    return;
-  }
   std::lock_guard<std::mutex> lk(mutex_);
   if (started_ || stop_) {
     return;
   }
   started_ = true;
-  // Oversubscribing check workers past the physical core count only adds
-  // context-switch overhead to round latency (the workers are CPU-bound
-  // invariant evaluations), so clamp. hardware_concurrency() may report 0
-  // on exotic platforms; treat that as "unknown" and don't clamp.
-  const size_t hw = std::thread::hardware_concurrency();
-  if (hw > 0 && options_.parallelism > hw) {
-    SEAL_LOG(kWarn) << "check_parallelism " << options_.parallelism << " exceeds hardware concurrency "
-                    << hw << "; clamping";
-    options_.parallelism = hw;
-  }
-  if (options_.parallelism == 0) {
-    options_.parallelism = 1;
-  }
-  SEAL_OBS_GAUGE("checker_effective_parallelism").Set(static_cast<double>(options_.parallelism));
-  // Helpers before the worker: the worker reads helpers_ unlocked when
-  // deciding whether to fan a round out.
-  for (size_t i = 1; i < options_.parallelism; ++i) {
-    helpers_.emplace_back([this] { HelperMain(); });
-  }
   worker_ = std::thread([this] { ThreadMain(); });
 }
 
@@ -95,18 +74,11 @@ void CheckerEngine::Stop() {
     orphaned = std::move(pending_);
     UpdateQueueDepthLocked();
     work_cv_.notify_all();
-    task_cv_.notify_all();
     idle_cv_.notify_all();
   }
   if (worker_.joinable()) {
     worker_.join();
   }
-  for (std::thread& h : helpers_) {
-    if (h.joinable()) {
-      h.join();
-    }
-  }
-  helpers_.clear();
   if (orphaned != nullptr) {
     CompleteRound(orphaned, Unavailable("checker engine stopped"));
   }
@@ -162,20 +134,6 @@ std::shared_ptr<CheckRound> CheckerEngine::TryAttach(int64_t need_horizon) {
     pending_->horizon = need_horizon;
   }
   return pending_;
-}
-
-Status CheckerEngine::RunInline(Trigger trigger, int64_t horizon, CheckReport* out) {
-  CheckRound round;
-  round.trigger = trigger;
-  round.horizon = horizon;
-  SEAL_RETURN_IF_ERROR(EvaluateRound(round, /*snap=*/nullptr, /*parallel=*/false));
-  CountRound(trigger);
-  rounds_completed_.fetch_add(1, std::memory_order_release);
-  if (options_.on_report) {
-    options_.on_report(round.report);
-  }
-  *out = std::move(round.report);
-  return Status::Ok();
 }
 
 void CheckerEngine::OnTrimmed() {
@@ -235,44 +193,24 @@ void CheckerEngine::ThreadMain() {
 
 void CheckerEngine::RunRound(CheckRound& round) {
   sgx::ScopedExecutionCharge charge(options_.enclave);
-  Status s = EvaluateRound(round, &round.snapshot, /*parallel=*/true);
+  Status s = EvaluateRound(round);
   if (s.ok() && round.want_trim && trim_fn_) {
     s = trim_fn_(&round.report);
   }
   round.status = s;
 }
 
-Status CheckerEngine::EvaluateRound(CheckRound& round, const db::Snapshot* snap,
-                                    bool parallel) {
+Status CheckerEngine::EvaluateRound(CheckRound& round) {
   const int64_t check_start = NowNanos();
   const size_t n = invariants_.size();
-  auto task = std::make_shared<EvalTask>();
-  task->snap = snap;
-  task->floors.assign(n, -1);
-  task->results.resize(n);
-  task->remaining.store(n, std::memory_order_relaxed);
+  std::vector<int64_t> floors(n, -1);  // per invariant; -1 = full scan
   {
     std::lock_guard<std::mutex> lk(wm_mutex_);
     for (size_t i = 0; i < n; ++i) {
       if (options_.incremental_checking && invariants_[i].monotone && watermarks_[i] >= 0) {
-        task->floors[i] = watermarks_[i];
+        floors[i] = watermarks_[i];
       }
     }
-  }
-
-  if (parallel && !helpers_.empty() && n > 1) {
-    {
-      std::lock_guard<std::mutex> lk(mutex_);
-      task_ = task;
-      ++task_gen_;
-      task_cv_.notify_all();
-    }
-    RunTaskSlice(*task);
-    std::unique_lock<std::mutex> lk(mutex_);
-    done_cv_.wait(lk, [&] { return task->remaining.load(std::memory_order_acquire) == 0; });
-    task_ = nullptr;
-  } else {
-    RunTaskSlice(*task);
   }
 
   CheckReport& report = round.report;
@@ -280,18 +218,23 @@ Status CheckerEngine::EvaluateRound(CheckRound& round, const db::Snapshot* snap,
   std::vector<char> advance(n, 0);
   for (size_t i = 0; i < n; ++i) {
     const Invariant& invariant = invariants_[i];
-    Result<db::QueryResult>& result = *task->results[i];
+    std::optional<int64_t> floor;
+    if (floors[i] >= 0) {
+      floor = floors[i];
+    }
+    Result<db::QueryResult> result =
+        plan_cache_.Execute(log_->database(), invariant.query, floor, &round.snapshot);
     if (!result.ok()) {
       return result.status();
     }
     ++report.invariants_checked;
     SEAL_OBS_COUNTER("logger_invariant_evaluations_total").Increment();
-    if (task->floors[i] >= 0) {
+    if (floors[i] >= 0) {
       SEAL_OBS_COUNTER("logger_incremental_evaluations_total").Increment();
     }
     CheckReport::Coverage cov;
     cov.invariant = invariant.name;
-    cov.floor = task->floors[i];
+    cov.floor = floors[i];
     if (result->rows.empty()) {
       cov.covered = round.horizon;
       if (invariant.monotone) {
@@ -301,7 +244,7 @@ Status CheckerEngine::EvaluateRound(CheckRound& round, const db::Snapshot* snap,
     } else {
       // A violating monotone invariant keeps its watermark where it is:
       // the offending rows must stay visible to subsequent checks.
-      cov.covered = task->floors[i];
+      cov.covered = floors[i];
       if (invariant.monotone) {
         SEAL_OBS_COUNTER("logger_watermark_freezes_total").Increment();
       }
@@ -315,11 +258,7 @@ Status CheckerEngine::EvaluateRound(CheckRound& round, const db::Snapshot* snap,
     std::lock_guard<std::mutex> lk(wm_mutex_);
     // A trim interleaved with this round invalidates its coverage: the
     // reset (OnTrimmed, same lock) wins and the watermarks stay at -1.
-    // Snapshot-free (inline) rounds run under the writer lock, where no
-    // trim can interleave.
-    const bool epoch_ok =
-        snap == nullptr || log_->database().trim_epoch() == snap->trim_epoch;
-    if (epoch_ok) {
+    if (log_->database().trim_epoch() == round.snapshot.trim_epoch) {
       for (size_t i = 0; i < n; ++i) {
         if (advance[i]) {
           watermarks_[i] = round.horizon;
@@ -330,48 +269,6 @@ Status CheckerEngine::EvaluateRound(CheckRound& round, const db::Snapshot* snap,
   report.check_nanos = NowNanos() - check_start;
   SEAL_OBS_HISTOGRAM("logger_check_nanos").Observe(static_cast<uint64_t>(report.check_nanos));
   return Status::Ok();
-}
-
-void CheckerEngine::RunTaskSlice(EvalTask& task) {
-  for (;;) {
-    const size_t i = task.next.fetch_add(1, std::memory_order_relaxed);
-    if (i >= task.floors.size()) {
-      return;
-    }
-    task.results[i] = EvaluateInvariant(i, task.floors[i], task.snap);
-    if (task.remaining.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-      std::lock_guard<std::mutex> lk(mutex_);
-      done_cv_.notify_all();
-    }
-  }
-}
-
-Result<db::QueryResult> CheckerEngine::EvaluateInvariant(size_t i, int64_t floor,
-                                                         const db::Snapshot* snap) {
-  const Invariant& invariant = invariants_[i];
-  std::optional<int64_t> f;
-  if (floor >= 0) {
-    f = floor;
-  }
-  return plan_cache_.Execute(log_->database(), invariant.query, f, snap);
-}
-
-void CheckerEngine::HelperMain() {
-  uint64_t seen_gen = 0;
-  for (;;) {
-    std::shared_ptr<EvalTask> task;
-    {
-      std::unique_lock<std::mutex> lk(mutex_);
-      task_cv_.wait(lk, [&] { return stop_ || (task_ != nullptr && task_gen_ != seen_gen); });
-      if (stop_) {
-        return;
-      }
-      seen_gen = task_gen_;
-      task = task_;
-    }
-    sgx::ScopedExecutionCharge charge(options_.enclave);
-    RunTaskSlice(*task);
-  }
 }
 
 void CheckerEngine::CompleteRound(const std::shared_ptr<CheckRound>& round, Status status) {

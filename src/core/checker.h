@@ -5,9 +5,10 @@
 // realises that: the sequencer's drain step only captures a database
 // snapshot and enqueues a trigger (O(1)); a dedicated checker thread —
 // accounted as in-enclave execution like the asyncall workers — evaluates
-// the invariants against the pinned snapshot, optionally fanned out across
-// a small bounded helper pool, and publishes a CheckReport. Appenders keep
-// inserting past the snapshot watermark the whole time.
+// the invariants one after another against the pinned snapshot and
+// publishes a CheckReport. Appenders keep inserting past the snapshot
+// watermark the whole time. Every round, whatever triggered it, runs on
+// that thread.
 //
 // Round life cycle and coalescing: at most one PENDING and one RUNNING
 // round exist. Enqueueing while a round is pending merges into it (the
@@ -29,7 +30,6 @@
 #include <functional>
 #include <memory>
 #include <mutex>
-#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -101,20 +101,15 @@ struct CheckRound {
 };
 
 // The engine. Owns the invariant list, the per-invariant incremental
-// watermarks and the prepared-plan cache; runs rounds either on its
-// dedicated checker thread (async) or inline on the caller (sync mode,
-// used by deterministic tests and as the benchmark baseline).
+// watermarks and the prepared-plan cache; runs every round on its
+// dedicated checker thread.
 class CheckerEngine {
  public:
   using Trigger = CheckRound::Trigger;
 
   struct Options {
-    bool async = true;
-    // Invariants evaluated concurrently within one round (1 = just the
-    // checker thread; N > 1 adds N-1 persistent helper threads).
-    size_t parallelism = 1;
     bool incremental_checking = true;
-    // When set, checker/helper CPU time is charged as in-enclave execution
+    // When set, checker-thread CPU time is charged as in-enclave execution
     // (like the asyncall workers).
     sgx::Enclave* enclave = nullptr;
     // Observer invoked once per completed round, before waiters wake.
@@ -133,16 +128,16 @@ class CheckerEngine {
   CheckerEngine(const CheckerEngine&) = delete;
   CheckerEngine& operator=(const CheckerEngine&) = delete;
 
-  // Spawns the checker (and helper) threads in async mode; no-op in sync.
+  // Spawns the checker thread.
   void Start();
   // Fails the pending round with Unavailable, finishes the running one,
-  // joins all threads. Idempotent.
+  // joins the checker thread. Idempotent.
   void Stop();
 
   // Requests a round covering logical times up to `horizon`. Merges into
   // the pending round if one exists (refreshing its snapshot + horizon).
   // The caller must hold the lock that serialises database writers — the
-  // snapshot is captured here. Async mode only.
+  // snapshot is captured here.
   std::shared_ptr<CheckRound> Enqueue(Trigger trigger, bool want_trim, int64_t horizon);
 
   // Returns the pending round, refreshed to cover `need_horizon`, or
@@ -150,11 +145,6 @@ class CheckerEngine {
   // qualifies: its snapshot predates the caller's pair). Same locking
   // contract as Enqueue. Used by forced-check coalescing.
   std::shared_ptr<CheckRound> TryAttach(int64_t need_horizon);
-
-  // Evaluates one round synchronously on the calling thread against live
-  // table state (no snapshot, no helpers). The caller must hold the
-  // writer lock. Does NOT trim. Sync-mode path.
-  Status RunInline(Trigger trigger, int64_t horizon, CheckReport* out);
 
   // A trim removed rows: every watermark resets to "full scan".
   void OnTrimmed();
@@ -174,26 +164,11 @@ class CheckerEngine {
   size_t plan_cache_size() const { return plan_cache_.size(); }
 
  private:
-  // Work-stealing state for one round's parallel evaluation. Helpers keep
-  // the task alive via shared_ptr; slots are claimed with `next` and
-  // completion is signalled when `remaining` hits zero.
-  struct EvalTask {
-    const db::Snapshot* snap = nullptr;
-    std::vector<int64_t> floors;  // per invariant; -1 = full scan
-    std::vector<std::optional<Result<db::QueryResult>>> results;
-    std::atomic<size_t> next{0};
-    std::atomic<size_t> remaining{0};
-  };
-
   void ThreadMain();
-  void HelperMain();
   void RunRound(CheckRound& round);
-  // Evaluates all invariants into round.report (violations in declaration
-  // order regardless of parallelism) and advances watermarks.
-  Status EvaluateRound(CheckRound& round, const db::Snapshot* snap, bool parallel);
-  void RunTaskSlice(EvalTask& task);
-  Result<db::QueryResult> EvaluateInvariant(size_t i, int64_t floor,
-                                            const db::Snapshot* snap);
+  // Evaluates the invariants in declaration order against the round's
+  // snapshot into round.report, and advances watermarks.
+  Status EvaluateRound(CheckRound& round);
   void CompleteRound(const std::shared_ptr<CheckRound>& round, Status status);
   void UpdateQueueDepthLocked();
 
@@ -209,16 +184,12 @@ class CheckerEngine {
   mutable std::mutex wm_mutex_;
   std::vector<int64_t> watermarks_;
 
-  // Round queue + helper task handoff.
+  // Round queue.
   mutable std::mutex mutex_;
-  std::condition_variable work_cv_;   // checker thread: pending round / stop
-  std::condition_variable task_cv_;   // helpers: new task / stop
-  std::condition_variable done_cv_;   // round's task slices all finished
-  std::condition_variable idle_cv_;   // WaitIdle
+  std::condition_variable work_cv_;  // checker thread: pending round / stop
+  std::condition_variable idle_cv_;  // WaitIdle
   std::shared_ptr<CheckRound> pending_;
   std::shared_ptr<CheckRound> running_;
-  std::shared_ptr<EvalTask> task_;
-  uint64_t task_gen_ = 0;
   bool paused_ = false;
   bool stop_ = false;
   bool started_ = false;
@@ -226,7 +197,6 @@ class CheckerEngine {
   std::atomic<uint64_t> rounds_completed_{0};
 
   std::thread worker_;
-  std::vector<std::thread> helpers_;
 };
 
 }  // namespace seal::core

@@ -54,14 +54,15 @@ void AuditLogger::EnsureEngineLocked() {
     return;
   }
   CheckerEngine::Options opts;
-  opts.async = options_.async_checking;
-  opts.parallelism = options_.check_parallelism > 0 ? options_.check_parallelism : 1;
   opts.incremental_checking = options_.incremental_checking;
   opts.enclave = options_.enclave;
   opts.on_report = [this](const CheckReport& report) { PublishReport(report); };
   engine_ = std::make_unique<CheckerEngine>(
       &log_, module_->Invariants(), std::move(opts),
-      [this](CheckReport* report) { return TrimForRound(report); });
+      [this](CheckReport* report) {
+        std::lock_guard<std::mutex> lock(drain_mutex_);
+        return TrimLocked(report);
+      });
   engine_->Start();
 }
 
@@ -122,7 +123,7 @@ Result<std::optional<CheckReport>> AuditLogger::OnPair(uint64_t conn_id, std::st
     SEAL_RETURN_IF_ERROR(op.round->Wait());
     return std::optional<CheckReport>(op.round->report);
   }
-  return std::move(op.report);
+  return std::optional<CheckReport>();
 }
 
 void AuditLogger::DrainStagedLocked() {
@@ -231,22 +232,19 @@ void AuditLogger::ProcessPairLocked(PendingPair* op) {
 void AuditLogger::TriggerChecksLocked(PendingPair* op, bool interval_check) {
   EnsureEngineLocked();
   const int64_t stall_start = NowNanos();
-  const bool async = options_.async_checking;
 
   bool forced = false;
   if (op->force_check && !interval_check) {
     // A forced check can ride a pending round for free: the round has not
     // started, so refreshing its snapshot makes it cover this pair too —
     // one evaluation, one budget charge (for whoever created the round).
-    if (async) {
-      std::shared_ptr<CheckRound> attach = engine_->TryAttach(op->time);
-      if (attach != nullptr) {
-        SEAL_OBS_COUNTER("logger_forced_coalesced_total").Increment();
-        op->round = std::move(attach);
-        SEAL_OBS_HISTOGRAM("logger_check_stall_nanos")
-            .Observe(static_cast<uint64_t>(NowNanos() - stall_start));
-        return;
-      }
+    std::shared_ptr<CheckRound> attach = engine_->TryAttach(op->time);
+    if (attach != nullptr) {
+      SEAL_OBS_COUNTER("logger_forced_coalesced_total").Increment();
+      op->round = std::move(attach);
+      SEAL_OBS_HISTOGRAM("logger_check_stall_nanos")
+          .Observe(static_cast<uint64_t>(NowNanos() - stall_start));
+      return;
     }
     // Rate-limit client-triggered checks (§6.3). A demand landing on an
     // interval boundary is satisfied by the interval check for free and
@@ -279,39 +277,15 @@ void AuditLogger::TriggerChecksLocked(PendingPair* op, bool interval_check) {
   const CheckerEngine::Trigger trigger =
       forced ? CheckerEngine::Trigger::kForced : CheckerEngine::Trigger::kInterval;
 
-  if (async) {
-    std::shared_ptr<CheckRound> round = engine_->Enqueue(trigger, /*want_trim=*/true, horizon);
-    if (op->force_check) {
-      op->round = std::move(round);  // rendezvous in OnPair, off this lock
-    }
-    SEAL_OBS_HISTOGRAM("logger_check_stall_nanos")
-        .Observe(static_cast<uint64_t>(NowNanos() - stall_start));
-    return;
-  }
-
-  // Synchronous mode: the round runs here, on the sequencer, under
-  // drain_mutex_ — the baseline the async engine is measured against.
-  CheckReport report;
-  Status check_status = engine_->RunInline(trigger, horizon, &report);
-  if (!check_status.ok()) {
-    op->status = check_status;
-    return;
-  }
-  Status trim_status = TrimLockedInner(&report);
-  if (!trim_status.ok()) {
-    op->status = trim_status;
-    return;
-  }
-  {
-    std::lock_guard<std::mutex> lock(report_mutex_);
-    last_report_ = report;  // refresh with trim_nanos filled in
+  std::shared_ptr<CheckRound> round = engine_->Enqueue(trigger, /*want_trim=*/true, horizon);
+  if (op->force_check) {
+    op->round = std::move(round);  // rendezvous in OnPair, off this lock
   }
   SEAL_OBS_HISTOGRAM("logger_check_stall_nanos")
       .Observe(static_cast<uint64_t>(NowNanos() - stall_start));
-  op->report = std::move(report);
 }
 
-Status AuditLogger::TrimLockedInner(CheckReport* report) {
+Status AuditLogger::TrimLocked(CheckReport* report) {
   const int64_t trim_start = NowNanos();
   size_t deleted = 0;
   size_t archived = 0;
@@ -331,11 +305,6 @@ Status AuditLogger::TrimLockedInner(CheckReport* report) {
   SEAL_OBS_COUNTER("logger_trimmed_rows_total").Add(deleted);
   SEAL_OBS_HISTOGRAM("logger_trim_nanos").Observe(static_cast<uint64_t>(trim_nanos));
   return Status::Ok();
-}
-
-Status AuditLogger::TrimForRound(CheckReport* report) {
-  std::lock_guard<std::mutex> lock(drain_mutex_);
-  return TrimLockedInner(report);
 }
 
 Result<AuditLogger::CommittedHead> AuditLogger::CommitAndSnapshotHead(
@@ -364,12 +333,6 @@ Result<CheckReport> AuditLogger::CheckInvariants() {
     EnsureEngineLocked();
     SEAL_OBS_COUNTER("logger_checks_total{trigger=\"manual\"}").Increment();
     const int64_t horizon = next_drain_time_ - 1;
-    if (!options_.async_checking) {
-      CheckReport report;
-      SEAL_RETURN_IF_ERROR(
-          engine_->RunInline(CheckerEngine::Trigger::kManual, horizon, &report));
-      return report;
-    }
     round = engine_->Enqueue(CheckerEngine::Trigger::kManual, /*want_trim=*/false, horizon);
   }
   // Wait off the drain lock: appenders keep flowing while the round runs.
@@ -380,12 +343,7 @@ Result<CheckReport> AuditLogger::CheckInvariants() {
 Status AuditLogger::Trim() {
   std::lock_guard<std::mutex> lock(drain_mutex_);
   DrainStagedLocked();
-  size_t deleted = 0;
-  SEAL_RETURN_IF_ERROR(log_.Trim(module_->TrimmingQueries(), &deleted));
-  if (deleted > 0 && engine_ != nullptr) {
-    engine_->OnTrimmed();
-  }
-  return Status::Ok();
+  return TrimLocked(nullptr);
 }
 
 void AuditLogger::WaitForChecks() {

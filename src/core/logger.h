@@ -44,6 +44,12 @@ namespace seal::core {
 // concurrent connections rarely contend on the same staging lock.
 inline constexpr size_t kAppendShards = 8;
 
+// Check rounds always run on the engine's checker thread against database
+// snapshots: the drain step only enqueues a trigger (O(1)) and appenders
+// never stall on invariant evaluation. Only a forced pair blocks its own
+// OnPair until the covering round completes (§6.3 response-header
+// semantics); interval rounds are observed through on_report or
+// AuditLogger::last_report().
 struct LoggerOptions {
   // Run checking + trimming automatically every N request/response pairs
   // (Fig. 6 sweeps this; the paper finds 25 optimal for Git, 75 for
@@ -60,18 +66,6 @@ struct LoggerOptions {
   // time watermark). Falls back to full scans after any trim that removed
   // rows. Benchmarks flip this off to measure full-scan checking.
   bool incremental_checking = true;
-  // Run check rounds on the dedicated checker thread against database
-  // snapshots: the drain step only enqueues a trigger (O(1)) and appenders
-  // never stall on invariant evaluation. Forced checks still block their
-  // own OnPair until the covering round completes (§6.3 response-header
-  // semantics). When false, rounds run inline on the sequencer under the
-  // drain lock (deterministic tests, benchmark baseline) and OnPair
-  // returns the report of an interval check it triggered.
-  bool async_checking = true;
-  // Invariants evaluated concurrently within one async round. Clamped to
-  // hardware_concurrency at Start (oversubscribing check workers degrades
-  // round latency rather than improving it).
-  size_t check_parallelism = 1;
   // When set, checker-thread CPU time is charged as in-enclave execution.
   sgx::Enclave* enclave = nullptr;
   // Observer invoked once per completed check round (any trigger), from
@@ -97,10 +91,10 @@ class AuditLogger {
   // ordered because each caller processes its connection's pairs
   // sequentially.
   //
-  // Reports: a forced pair always blocks until a round covering it
-  // completes and returns that round's report. An interval-triggered pair
-  // returns the report only in synchronous mode (async rounds complete in
-  // the background; observe them via last_report()/on_report).
+  // Reports: only a forced pair returns one. It blocks until a round
+  // covering it completes and returns that round's report. Interval rounds
+  // complete in the background; observe them via last_report()/on_report,
+  // or call WaitForChecks() first to quiesce.
   Result<std::optional<CheckReport>> OnPair(uint64_t conn_id, std::string_view request,
                                             std::string_view response, bool force_check);
   Result<std::optional<CheckReport>> OnPair(std::string_view request, std::string_view response,
@@ -108,9 +102,9 @@ class AuditLogger {
     return OnPair(0, request, response, force_check);
   }
 
-  // Runs all invariants immediately (no trim). In async mode the round is
-  // enqueued and this call waits for it WITHOUT holding the drain lock, so
-  // manual checks no longer freeze appenders.
+  // Runs all invariants now (no trim). The round is enqueued and this call
+  // waits for it WITHOUT holding the drain lock, so manual checks do not
+  // freeze appenders.
   Result<CheckReport> CheckInvariants();
 
   // One shard's contribution to an epoch anchor: its committed head and,
@@ -129,17 +123,18 @@ class AuditLogger {
   // on every shard at each epoch boundary.
   Result<CommittedHead> CommitAndSnapshotHead(std::vector<LogEntry>* entries_out = nullptr);
 
-  // Runs the SSM's trimming queries and rebuilds the hash chain.
+  // Drains staged pairs, then runs the SSM's trimming queries and rebuilds
+  // the hash chain: the same step a round's trim takes.
   Status Trim();
 
-  // Blocks until no check round is pending or running. No-op in sync mode.
+  // Blocks until no check round is pending or running.
   void WaitForChecks();
 
   AuditLog& log() { return log_; }
   ServiceModule& module() { return *module_; }
   int64_t pairs_logged() const { return pairs_logged_.load(std::memory_order_relaxed); }
-  // The report of the most recently completed round, by value: async
-  // rounds overwrite it concurrently with readers.
+  // The report of the most recently completed round, by value: the
+  // checker thread overwrites it concurrently with readers.
   std::optional<CheckReport> last_report() const {
     std::lock_guard<std::mutex> lock(report_mutex_);
     return last_report_;
@@ -169,8 +164,7 @@ class AuditLogger {
 
     // Filled by the sequencer.
     Status status;
-    std::optional<CheckReport> report;
-    // The async round this pair must rendezvous with (forced checks, and
+    // The round this pair must rendezvous with (forced checks, and
     // forced-riding-interval). OnPair waits on it after the drain
     // handshake, outside every logger lock.
     std::shared_ptr<CheckRound> round;
@@ -198,14 +192,13 @@ class AuditLogger {
   // Builds + starts the checker engine on first use. Caller holds
   // drain_mutex_.
   void EnsureEngineLocked();
-  // Evaluates `op`'s check trigger: enqueues/attaches an async round or
-  // runs the round inline (sync mode). Caller holds drain_mutex_.
+  // Evaluates `op`'s check trigger: enqueues a round or attaches to the
+  // pending one. Caller holds drain_mutex_.
   void TriggerChecksLocked(PendingPair* op, bool interval_check);
-  // Trimming: runs the SSM's queries and resets watermarks when rows left
-  // the log. TrimLockedInner requires drain_mutex_; TrimForRound is the
-  // checker thread's entry and takes it.
-  Status TrimLockedInner(CheckReport* report);
-  Status TrimForRound(CheckReport* report);
+  // Trimming: runs the SSM's queries, resets watermarks when rows left the
+  // log and counts the trim; fills `report` when set. Caller holds
+  // drain_mutex_ (a round's trim step takes it on the checker thread).
+  Status TrimLocked(CheckReport* report);
   // Publishes a completed round's report (engine on_report callback).
   void PublishReport(const CheckReport& report);
 

@@ -226,14 +226,6 @@ Status ShardSet::VerifyRecoveredAgainstRecord() {
   return Status::Ok();
 }
 
-size_t ShardSet::ScatterParallelism() const {
-  size_t par = options_.crossshard_parallelism;
-  if (par == 0) {
-    par = runtimes_.size();
-  }
-  return std::max<size_t>(1, std::min(par, runtimes_.size()));
-}
-
 Status ShardSet::CommitAllHeads(std::vector<ShardHeadInfo>* heads,
                                 std::vector<std::vector<LogEntry>>* entries) {
   const size_t n = runtimes_.size();
@@ -242,29 +234,28 @@ Status ShardSet::CommitAllHeads(std::vector<ShardHeadInfo>* heads,
     entries->assign(n, {});
   }
   std::vector<Status> statuses(n);
-  std::atomic<size_t> next{0};
-  auto work = [&] {
-    for (size_t k = next.fetch_add(1); k < n; k = next.fetch_add(1)) {
-      std::vector<LogEntry>* out = entries != nullptr ? &(*entries)[k] : nullptr;
-      auto committed = runtimes_[k]->logger()->CommitAndSnapshotHead(out);
-      if (!committed.ok()) {
-        statuses[k] = committed.status();
-        continue;
-      }
-      ShardHeadInfo& head = (*heads)[k];
-      head.shard = static_cast<uint32_t>(k);
-      head.chain_head = committed->chain_head;
-      head.counter_value = committed->counter_value;
-      head.entry_count = committed->entry_count;
+  auto commit = [&](size_t k) {
+    std::vector<LogEntry>* out = entries != nullptr ? &(*entries)[k] : nullptr;
+    auto committed = runtimes_[k]->logger()->CommitAndSnapshotHead(out);
+    if (!committed.ok()) {
+      statuses[k] = committed.status();
+      return;
     }
+    ShardHeadInfo& head = (*heads)[k];
+    head.shard = static_cast<uint32_t>(k);
+    head.chain_head = committed->chain_head;
+    head.counter_value = committed->counter_value;
+    head.entry_count = committed->entry_count;
   };
-  const size_t par = ScatterParallelism();
+  // One thread per shard; this thread commits shard 0.
   std::vector<std::thread> threads;
-  threads.reserve(par - 1);
-  for (size_t i = 1; i < par; ++i) {
-    threads.emplace_back(work);
+  threads.reserve(n);
+  for (size_t k = 1; k < n; ++k) {
+    threads.emplace_back(commit, k);
   }
-  work();
+  if (n > 0) {
+    commit(0);
+  }
   for (std::thread& t : threads) {
     t.join();
   }
@@ -368,8 +359,7 @@ Result<CrossShardReport> ShardSet::CheckCrossShard() {
       results[i] = merged->database.ExecuteSnapshot(invariants[i].query, snap);
     }
   };
-  const size_t par = std::max<size_t>(
-      1, std::min(ScatterParallelism(), invariants.empty() ? 1 : invariants.size()));
+  const size_t par = std::max<size_t>(1, std::min(runtimes_.size(), invariants.size()));
   std::vector<std::thread> threads;
   threads.reserve(par - 1);
   for (size_t i = 1; i < par; ++i) {

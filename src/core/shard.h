@@ -104,9 +104,6 @@ struct ShardSetOptions {
   // (requires libseal.audit_log.recover) and re-anchor. Without a record
   // on disk, recovery proceeds per shard and a fresh anchor is written.
   bool recover = false;
-  // Threads for the scatter and merged-eval phases of CheckCrossShard
-  // (0 = one per shard).
-  size_t crossshard_parallelism = 0;
 };
 
 class ShardSet {
@@ -168,7 +165,7 @@ class ShardSet {
 
  private:
   // Phase 1 of an anchor: per-shard head commits (+ optional entry
-  // snapshots for the cross-shard cut), scattered across threads.
+  // snapshots for the cross-shard cut), one thread per shard.
   Status CommitAllHeads(std::vector<ShardHeadInfo>* heads,
                         std::vector<std::vector<LogEntry>>* entries);
   // Phase 2: shared epoch round + signed record persist.
@@ -176,8 +173,6 @@ class ShardSet {
   // options.recover: checks each recovered shard against the persisted
   // record ("at or past its anchored head").
   Status VerifyRecoveredAgainstRecord();
-
-  size_t ScatterParallelism() const;
 
   ShardSetOptions options_;
   std::function<std::unique_ptr<ServiceModule>()> module_factory_;

@@ -184,8 +184,8 @@ class Database {
   const std::vector<std::pair<int64_t, size_t>>* TimeIndexForTesting(
       const std::string& name) const;
 
-  // Whole-database serialisation (used for enclave sealing). Views are
-  // persisted as their original CREATE VIEW SQL and re-executed on load.
+  // Whole-database serialisation. Views are persisted as their original
+  // CREATE VIEW SQL and re-executed on load.
   Bytes Serialize() const;
   static Result<Database> Deserialize(BytesView in);
 
@@ -242,8 +242,8 @@ class Database {
 // depends on table contents, so trims leave cached plans valid.
 // Lookup is mutex-guarded (cheap: one map probe per invariant per round);
 // execution happens outside the lock. A given (sql, floored) plan must not
-// be executed by two threads at once — check rounds are serialised, and
-// parallel workers within a round evaluate distinct invariants.
+// be executed by two threads at once — check rounds are serialised on one
+// checker thread.
 class PlanCache {
  public:
   // Looks up (preparing/refreshing on miss or schema staleness) and

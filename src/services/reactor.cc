@@ -209,15 +209,6 @@ net::StreamPtr Reactor::MakeCooperative(net::StreamPtr stream) {
   return std::make_unique<CooperativeStream>(std::move(stream), this, ctx);
 }
 
-size_t Reactor::live_connections() const {
-  size_t total = 0;
-  for (const auto& shard : shards_) {
-    std::lock_guard<std::mutex> lock(shard->mutex);
-    total += shard->conns.size();
-  }
-  return total;
-}
-
 void Reactor::ShardLoop(Shard* shard) {
   obs::Gauge& tasks_gauge = obs::Registry::Global().GetGauge(
       "reactor_tasks{thread=\"" + std::to_string(shard->index) + "\"}");

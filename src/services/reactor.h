@@ -73,14 +73,9 @@ class Reactor {
   // is returned unwrapped (stays blocking).
   net::StreamPtr MakeCooperative(net::StreamPtr stream);
 
-  // Live connection tasks across all shards (tests).
-  size_t live_connections() const;
-
   // Shard threads while running: one per core reported by the host
   // (std::thread::hardware_concurrency, 1 when it reports none).
   size_t shard_count() const { return shards_.size(); }
-
-  net::Poller* poller() { return &poller_; }
 
  private:
   friend class CooperativeStream;

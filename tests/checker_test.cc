@@ -167,6 +167,13 @@ TEST(Checker, ManualCheckGoesThroughTheEngine) {
   EXPECT_TRUE(report->clean());
   EXPECT_EQ(report->covered_time, 5);
   EXPECT_GE(logger->checker()->rounds_completed(), 1u);
+  EXPECT_EQ(report->invariants_checked, logger->checker()->invariant_count());
+  // Coverage stays in invariant declaration order.
+  const std::vector<Invariant> invariants = logger->module().Invariants();
+  ASSERT_EQ(report->coverage.size(), invariants.size());
+  for (size_t i = 0; i < invariants.size(); ++i) {
+    EXPECT_EQ(report->coverage[i].invariant, invariants[i].name);
+  }
 }
 
 TEST(Checker, ManualCheckDoesNotBlockAppenders) {
@@ -191,25 +198,8 @@ TEST(Checker, ManualCheckDoesNotBlockAppenders) {
   checking.join();
 }
 
-TEST(Checker, ParallelEvaluationMatchesSerial) {
-  for (size_t parallelism : {size_t{1}, size_t{2}, size_t{4}}) {
-    auto logger = MakeLogger({.check_interval = 0, .check_parallelism = parallelism});
-    services::GitBackend backend;
-    for (int i = 1; i <= 20; ++i) {
-      ASSERT_TRUE(PumpPush(*logger, backend, 0, i).ok());
-    }
-    auto report = logger->CheckInvariants();
-    ASSERT_TRUE(report.ok()) << "parallelism=" << parallelism;
-    EXPECT_TRUE(report->clean());
-    EXPECT_EQ(report->invariants_checked, logger->checker()->invariant_count());
-    EXPECT_EQ(report->covered_time, 20);
-    // Deterministic assembly: coverage stays in invariant declaration order.
-    ASSERT_EQ(report->coverage.size(), report->invariants_checked);
-  }
-}
-
 TEST(Checker, WatermarksAdvanceAndResetOnTrim) {
-  auto logger = MakeLogger({.check_interval = 0, .check_parallelism = 2});
+  auto logger = MakeLogger({.check_interval = 0});
   services::GitBackend backend;
   for (int i = 1; i <= 4; ++i) {
     ASSERT_TRUE(PumpPush(*logger, backend, 0, i).ok());
@@ -250,7 +240,6 @@ TEST(Checker, StressAppendersVsAsyncChecksAndTrim) {
   LoggerOptions logger_options;
   logger_options.check_interval = 7;
   logger_options.forced_check_min_gap = 25;
-  logger_options.check_parallelism = 2;
   logger_options.on_report = [&](const CheckReport& report) {
     std::lock_guard<std::mutex> lock(report_mutex);
     observed.push_back(report);
